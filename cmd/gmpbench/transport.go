@@ -44,11 +44,6 @@ type transportReport struct {
 	Codec       struct {
 		BinaryEncode    codecArm `json:"binary_encode"`
 		BinaryRoundtrip codecArm `json:"binary_roundtrip"`
-		GobEncode       codecArm `json:"gob_encode"`
-		GobRoundtrip    codecArm `json:"gob_roundtrip"`
-		// RoundtripAllocRatio is gob allocs/op over binary allocs/op —
-		// the tentpole's acceptance bar is ≥ 10.
-		RoundtripAllocRatio float64 `json:"roundtrip_alloc_ratio_gob_over_binary"`
 	} `json:"codec"`
 	TCP struct {
 		FramesPerSec      float64 `json:"frames_per_sec"`
@@ -80,7 +75,7 @@ type gmpbenchBeacon struct{}
 func init() { transport.RegisterBeaconPayload(201, gmpbenchBeacon{}) }
 
 func transportPerf(int64) {
-	fmt.Println("== E15 · live wire path: binary codec vs gob, mux throughput ==")
+	fmt.Println("== E15 · live wire path: binary codec, mux throughput ==")
 	frames := benchWireFrames()
 
 	var rep transportReport
@@ -104,30 +99,6 @@ func transportPerf(int64) {
 			}
 		}
 	}))
-	rep.Codec.GobEncode = arm(testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := transport.EncodeFrameGob(frames[i%len(frames)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}))
-	rep.Codec.GobRoundtrip = arm(testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			blob, err := transport.EncodeFrameGob(frames[i%len(frames)])
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := transport.DecodeFrame(blob); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}))
-	if rep.Codec.BinaryRoundtrip.AllocsPerOp > 0 {
-		rep.Codec.RoundtripAllocRatio =
-			float64(rep.Codec.GobRoundtrip.AllocsPerOp) / float64(rep.Codec.BinaryRoundtrip.AllocsPerOp)
-	}
 
 	rep.TCP.FramesPerSec = tcpFramesPerSec()
 	rep.TCP.HeartbeatAllocsOp = heartbeatAllocs()
@@ -136,10 +107,7 @@ func transportPerf(int64) {
 	fmt.Fprintln(w, "arm\tns/op\tallocs/op\tB/op")
 	fmt.Fprintf(w, "binary encode\t%.0f\t%d\t%d\n", rep.Codec.BinaryEncode.NsPerOp, rep.Codec.BinaryEncode.AllocsPerOp, rep.Codec.BinaryEncode.BytesPerOp)
 	fmt.Fprintf(w, "binary roundtrip\t%.0f\t%d\t%d\n", rep.Codec.BinaryRoundtrip.NsPerOp, rep.Codec.BinaryRoundtrip.AllocsPerOp, rep.Codec.BinaryRoundtrip.BytesPerOp)
-	fmt.Fprintf(w, "gob encode\t%.0f\t%d\t%d\n", rep.Codec.GobEncode.NsPerOp, rep.Codec.GobEncode.AllocsPerOp, rep.Codec.GobEncode.BytesPerOp)
-	fmt.Fprintf(w, "gob roundtrip\t%.0f\t%d\t%d\n", rep.Codec.GobRoundtrip.NsPerOp, rep.Codec.GobRoundtrip.AllocsPerOp, rep.Codec.GobRoundtrip.BytesPerOp)
 	w.Flush()
-	fmt.Printf("roundtrip alloc ratio (gob/binary): %.1f×  (bar: ≥10×)\n", rep.Codec.RoundtripAllocRatio)
 	fmt.Printf("mux throughput: %.0f frames/sec through one pair connection\n", rep.TCP.FramesPerSec)
 	fmt.Printf("heartbeat send: %d allocs/op (bar: 0)\n", rep.TCP.HeartbeatAllocsOp)
 

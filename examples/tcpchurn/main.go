@@ -1,7 +1,8 @@
 // TCP churn: the paper's deployment target made literal. A 5-node group
-// runs over real TCP loopback sockets — every directed channel is its own
-// length-prefixed gob stream, the substrate the §2.1 model describes as an
-// asynchronous network of reliable FIFO channels — and is driven through a
+// runs over real TCP loopback sockets — every peer pair shares one
+// length-prefixed binary stream carrying both directed channels, the
+// substrate the §2.1 model describes as an asynchronous network of
+// reliable FIFO channels — and is driven through a
 // join + crash churn scenario, including the loss of the coordinator. The
 // ViewWatcher condenses the per-process install streams into the agreed
 // view sequence GMP guarantees.

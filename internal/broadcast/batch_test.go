@@ -77,7 +77,7 @@ func TestAckCoalescing(t *testing.T) {
 
 	// Three deliveries: under the count cap, all suppressed behind the timer.
 	for i := uint64(1); i <= 3; i++ {
-		b.HandleApp(seq, Seqd(entry(0, i, px, i)))
+		b.HandleApp(seq, seqd1(entry(0, i, px, i)))
 	}
 	if acks, _ := countAcks(fn.takeSent()); acks != 0 {
 		t.Fatalf("sent %d acks inside a 3-entry window, want 0 (coalesced)", acks)
@@ -87,7 +87,7 @@ func TestAckCoalescing(t *testing.T) {
 	}
 
 	// The 4th delivery completes the window: exactly one cumulative ack.
-	b.HandleApp(seq, Seqd(entry(0, 4, px, 4)))
+	b.HandleApp(seq, seqd1(entry(0, 4, px, 4)))
 	if acks, last := countAcks(fn.takeSent()); acks != 1 || last != 4 {
 		t.Fatalf("window of 4 sent %d acks (last seq %d), want exactly 1 covering 4", acks, last)
 	}
@@ -99,8 +99,8 @@ func TestAckCoalescing(t *testing.T) {
 	}
 
 	// A partial window flushes on the timer — one ack, cumulative.
-	b.HandleApp(seq, Seqd(entry(0, 5, px, 5)))
-	b.HandleApp(seq, Seqd(entry(0, 6, px, 6)))
+	b.HandleApp(seq, seqd1(entry(0, 5, px, 5)))
+	b.HandleApp(seq, seqd1(entry(0, 6, px, 6)))
 	if acks, _ := countAcks(fn.takeSent()); acks != 0 {
 		t.Fatal("partial window acked before its timer")
 	}
@@ -214,63 +214,100 @@ func syncAsSequencer(t *testing.T, b *Broadcaster, n interface{ takeSent() []fak
 	t.Fatal("sequencer did not fan out ViewSync after the flush barrier")
 }
 
+// liveTimers counts the armed (not cancelled) timers on a timerNode.
+func liveTimers(n *timerNode) int {
+	live := 0
+	for _, t := range n.timers {
+		if !t.dead {
+			live++
+		}
+	}
+	return live
+}
+
 // TestGroupCommitSequencerRangesAndPiggyback: the sequencer assigns one
-// contiguous slot range per incoming batch, fans it out as a single
-// SeqdBatch, and carries the stability frontier on the next batch instead
-// of a separate Stable broadcast (with the timer as liveness fallback).
+// contiguous slot range per incoming batch and fans it out as a single
+// SeqdBatch. An ack that leaves sequenced entries unstable marks the
+// frontier dirty and carries it on the next SeqdBatch (with the timer as
+// liveness fallback); the ack that catches the frontier up with everything
+// sequenced owes no SeqdBatch, so Stable goes out at once, timer-free.
 func TestGroupCommitSequencerRangesAndPiggyback(t *testing.T) {
 	fn := &timerNode{fakeNode: fakeNode{id: proc("p1")}}
 	b := New(fn, Config{Batch: BatchConfig{MaxEntries: 8, MaxDelay: time.Millisecond}})
 	p2 := proc("p2")
 	syncAsSequencer(t, b, fn, 0, p2)
+	oneBatch := func(what string) SeqdBatch {
+		t.Helper()
+		sent := fn.takeSent()
+		if len(sent) != 1 {
+			t.Fatalf("%s sent %d frames, want 1 SeqdBatch", what, len(sent))
+		}
+		return sent[0].payload.(SeqdBatch)
+	}
 
 	items := []PubItem{{PubID: 1, Body: []byte("a")}, {PubID: 2, Body: []byte("b")}, {PubID: 3, Body: []byte("c")}}
 	b.HandleApp(p2, PubBatch{Origin: p2, Pubs: items})
-	sent := fn.takeSent()
-	if len(sent) != 1 {
-		t.Fatalf("sequencing a batch sent %d frames, want 1 SeqdBatch", len(sent))
-	}
-	sb := sent[0].payload.(SeqdBatch)
-	if sb.FirstSeq != 1 || len(sb.Entries) != 3 || sb.Stable != 0 {
+	if sb := oneBatch("sequencing a batch"); sb.FirstSeq != 1 || len(sb.Entries) != 3 || sb.Stable != 0 {
 		t.Fatalf("SeqdBatch = %+v, want contiguous range [1,4) with stable 0", sb)
 	}
+	b.HandleApp(p2, PubBatch{Origin: p2, Pubs: []PubItem{{PubID: 4, Body: []byte("d")}}})
+	if sb := oneBatch("second batch"); sb.FirstSeq != 4 || sb.Stable != 0 {
+		t.Fatalf("second SeqdBatch = %+v, want FirstSeq 4 with stable 0", sb)
+	}
 
-	// p2 acks the range; the frontier advances but no Stable frame goes
-	// out — it is marked for piggyback on the next SeqdBatch.
+	// p2 acks the first range only: the frontier advances, slot 4 is
+	// still unstable, so no Stable frame goes out — it is marked for
+	// piggyback on the next SeqdBatch, behind the fallback timer.
 	b.HandleApp(p2, AckSeq{Ver: 0, Seq: 3})
 	if sent := fn.takeSent(); len(sent) != 0 {
-		t.Fatalf("frontier advance broadcast %v immediately; batching must piggyback", sent)
+		t.Fatalf("frontier advance with entries unstable broadcast %v; it must piggyback", sent)
 	}
-	if b.stable != 3 {
-		t.Fatalf("sequencer stable = %d, want 3", b.stable)
+	if b.stable != 3 || liveTimers(fn) != 1 {
+		t.Fatalf("stable = %d with %d timers, want 3 behind one fallback timer", b.stable, liveTimers(fn))
 	}
-
-	b.HandleApp(p2, PubBatch{Origin: p2, Pubs: []PubItem{{PubID: 4, Body: []byte("d")}}})
-	sent = fn.takeSent()
-	if len(sent) != 1 {
-		t.Fatalf("second batch sent %d frames, want 1", len(sent))
-	}
-	sb = sent[0].payload.(SeqdBatch)
-	if sb.FirstSeq != 4 || sb.Stable != 3 {
-		t.Fatalf("second SeqdBatch = %+v, want FirstSeq 4 carrying stable 3", sb)
+	b.HandleApp(p2, PubBatch{Origin: p2, Pubs: []PubItem{{PubID: 5, Body: []byte("e")}}})
+	if sb := oneBatch("third batch"); sb.FirstSeq != 5 || sb.Stable != 3 {
+		t.Fatalf("third SeqdBatch = %+v, want FirstSeq 5 carrying stable 3", sb)
 	}
 	if got := b.stats.StablePiggybacked.Load(); got != 1 {
 		t.Fatalf("StablePiggybacked = %d, want 1", got)
 	}
+	if liveTimers(fn) != 0 {
+		t.Fatal("piggyback left its fallback timer armed")
+	}
 
-	// With no follow-up batch, the fallback timer broadcasts Stable alone.
+	// With entries unstable and no follow-up batch, the fallback timer
+	// broadcasts Stable alone.
 	b.HandleApp(p2, AckSeq{Ver: 0, Seq: 4})
 	if sent := fn.takeSent(); len(sent) != 0 {
 		t.Fatal("stable broadcast before the fallback timer")
 	}
 	fn.fire()
-	sent = fn.takeSent()
+	sent := fn.takeSent()
 	if len(sent) != 1 {
 		t.Fatalf("fallback fired %d frames, want 1 Stable", len(sent))
 	}
 	if st := sent[0].payload.(Stable); st.Seq != 4 {
 		t.Fatalf("fallback Stable.Seq = %d, want 4", st.Seq)
 	}
+
+	// The ack that catches the frontier up with everything sequenced: no
+	// SeqdBatch is owed, so Stable goes out now and nothing is armed.
+	b.HandleApp(p2, AckSeq{Ver: 0, Seq: 5})
+	sent = fn.takeSent()
+	if len(sent) != 1 {
+		t.Fatalf("quiescent frontier advance sent %d frames, want 1 Stable", len(sent))
+	}
+	if st, ok := sent[0].payload.(Stable); !ok || st.Seq != 5 {
+		t.Fatalf("quiescent frame = %+v, want Stable 5", sent[0].payload)
+	}
+	if liveTimers(fn) != 0 || b.stableDirty {
+		t.Fatal("quiescent Stable left a timer armed or the frontier dirty")
+	}
+	if got := b.stats.StableBroadcasts.Load(); got != 2 {
+		t.Fatalf("StableBroadcasts = %d, want 2 (one fallback, one quiescent)", got)
+	}
+
 	// Duplicate sequencing protection across batches: re-sending the
 	// first batch (a resubmission race) sequences nothing.
 	before := b.stats.Sequenced.Load()
@@ -280,50 +317,49 @@ func TestGroupCommitSequencerRangesAndPiggyback(t *testing.T) {
 	}
 }
 
-// TestBatchCapOneIsLegacyWire pins the degenerate case: MaxEntries ≤ 1
-// keeps the exact unbatched vocabulary — individual Pub and Seqd frames,
-// an AckSeq per delivery, standalone Stable broadcasts, and no batch
-// frames or coalescing timers anywhere.
-func TestBatchCapOneIsLegacyWire(t *testing.T) {
-	// Origin side: each proposal leaves immediately as its own Pub.
+// TestBatchCapOneIsBatchOfOne pins the degenerate case: MaxEntries ≤ 1 is
+// the group-commit path with batches of one — a PubBatch per proposal, an
+// AckSeq per SeqdBatch, an immediate Stable when the ack catches the
+// frontier up — and the quiescent path arms no timer on any role.
+func TestBatchCapOneIsBatchOfOne(t *testing.T) {
+	// Origin side: each proposal leaves immediately as its own PubBatch,
+	// busy pipeline or not (the entry cap trips every time).
 	fn := &timerNode{fakeNode: fakeNode{id: proc("p2")}}
-	b := New(fn, Config{Batch: BatchConfig{MaxEntries: 1}})
+	b := New(fn, Config{})
 	seq := syncAsMember(b, fn, 0)
-	for i := 0; i < 3; i++ {
+	for i := 1; i <= 3; i++ {
 		b.Propose([]byte{byte(i)}, nil)
 	}
 	sent := fn.takeSent()
 	if len(sent) != 3 {
-		t.Fatalf("3 proposals sent %d frames, want 3 individual Pubs", len(sent))
+		t.Fatalf("3 proposals sent %d frames, want 3 PubBatches of one", len(sent))
 	}
 	for i, s := range sent {
-		if p, ok := s.payload.(Pub); !ok || p.PubID != uint64(i+1) {
-			t.Fatalf("frame %d = %+v, want Pub %d", i, s.payload, i+1)
+		if want := pub1(entry(0, 0, b.self, uint64(i+1))); s.to != seq || !reflect.DeepEqual(s.payload, want) {
+			t.Fatalf("frame %d = %+v, want %+v to the sequencer", i, s, want)
 		}
 	}
-	// Delivery side: one AckSeq per Seqd, immediately.
+	// Delivery side: one AckSeq per SeqdBatch, immediately.
 	px := proc("p9")
-	b.HandleApp(seq, Seqd(entry(0, 1, px, 1)))
-	b.HandleApp(seq, Seqd(entry(0, 2, px, 2)))
+	b.HandleApp(seq, seqd1(entry(0, 1, px, 1)))
+	b.HandleApp(seq, seqd1(entry(0, 2, px, 2)))
 	if acks, last := countAcks(fn.takeSent()); acks != 2 || last != 2 {
-		t.Fatalf("2 deliveries sent %d acks (last %d), want one per entry", acks, last)
+		t.Fatalf("2 deliveries sent %d acks (last %d), want one per SeqdBatch", acks, last)
 	}
 	if len(fn.timers) != 0 {
-		t.Fatalf("legacy path armed %d timers", len(fn.timers))
+		t.Fatalf("cap-1 origin/member path armed %d timers", len(fn.timers))
 	}
 
-	// Sequencer side: Pub in → Seqd out, Stable broadcast on ack.
+	// Sequencer side: PubBatch of one in → SeqdBatch of one out, and the
+	// ack that catches the frontier up fans Stable out at once.
 	sn := &timerNode{fakeNode: fakeNode{id: proc("p1")}}
 	sq := New(sn, Config{Batch: BatchConfig{MaxEntries: 1}})
 	p2 := proc("p2")
 	syncAsSequencer(t, sq, sn, 0, p2)
-	sq.HandleApp(p2, Pub{Origin: p2, PubID: 1, Body: []byte("x")})
+	sq.HandleApp(p2, pub1(entry(0, 0, p2, 1)))
 	sent = sn.takeSent()
-	if len(sent) != 1 {
-		t.Fatalf("sequencing one pub sent %d frames, want 1 Seqd", len(sent))
-	}
-	if s, ok := sent[0].payload.(Seqd); !ok || s.Seq != 1 {
-		t.Fatalf("frame = %+v, want Seqd at slot 1", sent[0].payload)
+	if len(sent) != 1 || !reflect.DeepEqual(sent[0].payload, seqd1(entry(0, 1, p2, 1))) {
+		t.Fatalf("sequencing one pub sent %+v, want one SeqdBatch of one at slot 1", sent)
 	}
 	sq.HandleApp(p2, AckSeq{Ver: 0, Seq: 1})
 	sent = sn.takeSent()
@@ -333,8 +369,20 @@ func TestBatchCapOneIsLegacyWire(t *testing.T) {
 	if st, ok := sent[0].payload.(Stable); !ok || st.Seq != 1 {
 		t.Fatalf("frame = %+v, want Stable 1", sent[0].payload)
 	}
-	if n := sq.stats.SeqdBatches.Load() + sq.stats.PubBatches.Load() + sq.stats.StablePiggybacked.Load(); n != 0 {
-		t.Fatalf("legacy wire used %d batch-path operations", n)
+	// The sequencer's own proposal takes the same path: slotted and
+	// fanned out the moment it is made.
+	sq.Propose([]byte{1}, nil)
+	own := seqd1(entry(0, 2, sq.self, 1))
+	own.Stable = 1
+	sent = sn.takeSent()
+	if len(sent) != 1 || !reflect.DeepEqual(sent[0].payload, own) {
+		t.Fatalf("sequencer's own proposal sent %+v, want %+v", sent, own)
+	}
+	if len(sn.timers) != 0 {
+		t.Fatalf("cap-1 sequencer path armed %d timers", len(sn.timers))
+	}
+	if n := sq.stats.StablePiggybacked.Load(); n != 0 {
+		t.Fatalf("quiescent cap-1 sequencer piggybacked %d frontiers, want 0", n)
 	}
 }
 
@@ -353,7 +401,7 @@ func TestFenceReleasesOnlyAtStability(t *testing.T) {
 	}
 
 	px := proc("p9")
-	b.HandleApp(seq, Seqd(entry(0, 1, px, 1)))
+	b.HandleApp(seq, seqd1(entry(0, 1, px, 1)))
 	b.Fence(func() { released++ })
 	if released != 1 {
 		t.Fatal("fence released while its prefix was unstable")
@@ -372,7 +420,7 @@ func TestFenceRetargetsAcrossViewChange(t *testing.T) {
 	b := New(fn, Config{})
 	seq := syncAsMember(b, fn, 0)
 	px := proc("p9")
-	b.HandleApp(seq, Seqd(entry(0, 1, px, 1)))
+	b.HandleApp(seq, seqd1(entry(0, 1, px, 1)))
 
 	released := 0
 	b.Fence(func() { released++ })
@@ -631,56 +679,66 @@ func TestBatchedMatchesUnbatchedUnderViewChanges(t *testing.T) {
 // flush must never strand queued pubs behind a pipeline slot that a view
 // change emptied. Bursty load (many proposals between scheduler steps)
 // keeps the origin pipelines deep across the crash, which is exactly
-// where a pacing leak would deadlock the real system.
+// where a pacing leak would deadlock the real system. Cap 1 runs the same
+// pacing and timers, so it is the second input.
 func TestGroupCommitLivenessAfterSequencerCrash(t *testing.T) {
-	for seed := int64(0); seed < 300; seed++ {
-		members := []ids.ProcID{proc("p1"), proc("p2"), proc("p3"), proc("p4")}
-		survivors := members[1:]
-		net := newSimNet(seed, members, Config{
+	for _, cfg := range []Config{
+		{Batch: BatchConfig{MaxEntries: 1}},
+		{
 			Batch: BatchConfig{MaxEntries: 8, MaxDelay: time.Millisecond},
 			Ack:   AckConfig{Every: 8, Delay: time.Millisecond},
+		},
+	} {
+		for seed := int64(0); seed < 300; seed++ {
+			groupCommitLivenessSeed(t, seed, cfg)
+		}
+	}
+}
+
+func groupCommitLivenessSeed(t *testing.T, seed int64, cfg Config) {
+	members := []ids.ProcID{proc("p1"), proc("p2"), proc("p3"), proc("p4")}
+	survivors := members[1:]
+	net := newSimNet(seed, members, cfg)
+	script := rand.New(rand.NewSource(seed ^ 0x11fe))
+	for _, p := range members {
+		net.nodes[p].b.HandleInstall(0, members)
+	}
+	proposed := make(map[ids.ProcID]int)
+	propose := func(p ids.ProcID) {
+		proposed[p]++
+		n := net.nodes[p]
+		n.b.Propose([]byte{byte(proposed[p])}, func(id uint64, err error) {
+			if err == nil {
+				n.acked[id] = true
+			}
 		})
-		script := rand.New(rand.NewSource(seed ^ 0x11fe))
-		for _, p := range members {
-			net.nodes[p].b.HandleInstall(0, members)
-		}
-		proposed := make(map[ids.ProcID]int)
-		propose := func(p ids.ProcID) {
-			proposed[p]++
-			n := net.nodes[p]
-			n.b.Propose([]byte{byte(proposed[p])}, func(id uint64, err error) {
-				if err == nil {
-					n.acked[id] = true
-				}
-			})
-		}
-		for i := 0; i < 40; i++ {
-			propose(members[script.Intn(len(members))])
-			if script.Intn(3) == 0 {
-				for s := script.Intn(8); s > 0; s-- {
-					net.step()
-				}
+	}
+	for i := 0; i < 40; i++ {
+		propose(members[script.Intn(len(members))])
+		if script.Intn(3) == 0 {
+			for s := script.Intn(8); s > 0; s-- {
+				net.step()
 			}
 		}
-		net.nodes[members[0]].dead = true
-		for _, p := range survivors {
-			net.nodes[p].b.HandleInstall(1, survivors)
-		}
-		for i := 0; i < 40; i++ {
-			propose(survivors[script.Intn(len(survivors))])
-			if script.Intn(3) == 0 {
-				for s := script.Intn(8); s > 0; s-- {
-					net.step()
-				}
+	}
+	net.nodes[members[0]].dead = true
+	for _, p := range survivors {
+		net.nodes[p].b.HandleInstall(1, survivors)
+	}
+	for i := 0; i < 40; i++ {
+		propose(survivors[script.Intn(len(survivors))])
+		if script.Intn(3) == 0 {
+			for s := script.Intn(8); s > 0; s-- {
+				net.step()
 			}
 		}
-		net.settle(t, 200000)
-		for _, p := range survivors {
-			n := net.nodes[p]
-			if len(n.acked) != proposed[p] {
-				t.Fatalf("seed %d: %v quiesced with %d/%d proposals acked",
-					seed, p, len(n.acked), proposed[p])
-			}
+	}
+	net.settle(t, 200000)
+	for _, p := range survivors {
+		n := net.nodes[p]
+		if len(n.acked) != proposed[p] {
+			t.Fatalf("cap %d seed %d: %v quiesced with %d/%d proposals acked",
+				cfg.Batch.MaxEntries, seed, p, len(n.acked), proposed[p])
 		}
 	}
 }

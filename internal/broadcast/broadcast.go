@@ -26,27 +26,28 @@ type Msg struct {
 
 // BatchConfig tunes group commit on the origin→sequencer leg: queued
 // Propose bodies coalesce into one PubBatch frame, flushed when any cap
-// trips. MaxEntries ≤ 1 disables batching entirely — every Propose sends
-// an individual Pub, the sequencer fans out individual Seqds and separate
-// Stable broadcasts, reproducing the unbatched wire exactly (the
-// degenerate case the A/B benchmarks pin).
+// trips. MaxEntries ≤ 1 is the degenerate case of the same path, not a
+// different one: the entry cap trips on every proposal, so each leaves at
+// once as a PubBatch of one and comes back as a SeqdBatch of one.
 type BatchConfig struct {
-	// MaxEntries flushes the queue at this many proposals (≤ 1 = off).
+	// MaxEntries flushes the queue at this many proposals (≤ 1 = every
+	// proposal ships alone).
 	MaxEntries int
 	// MaxBytes flushes the queue at this many queued body bytes
 	// (default 256 KiB; stays well under the transport's frame cap).
 	MaxBytes int
 	// MaxDelay bounds how long a queued proposal waits for company
 	// (default 1ms — the live loop's timer floor). It also bounds the
-	// sequencer's Stable piggyback: if no SeqdBatch goes out within
-	// MaxDelay of the frontier advancing, Stable is broadcast alone.
+	// sequencer's Stable piggyback: if sequenced entries are still
+	// unstable and no SeqdBatch goes out within MaxDelay of the frontier
+	// advancing, Stable is broadcast alone.
 	MaxDelay time.Duration
 }
 
 // AckConfig coalesces the member→sequencer delivery acks. Acks are
 // cumulative, so one ack covering B entries carries exactly the
-// information of B per-entry acks — the unbatched wire's ack-per-Seqd is
-// pure storm. Every ≤ 1 keeps the legacy ack-per-delivery behavior.
+// information of B per-entry acks. Every ≤ 1 is the degenerate window:
+// every delivery (one SeqdBatch, whatever its size) is acked at once.
 type AckConfig struct {
 	// Every sends the cumulative ack once this many deliveries are
 	// unacknowledged.
@@ -77,11 +78,11 @@ type Config struct {
 	// installed yet (default 4096); beyond it new arrivals are dropped
 	// and counted (senders recover by the usual resubmission paths).
 	MaxBuffered int
-	// Batch enables group commit (see BatchConfig). The zero value is
-	// the unbatched legacy wire.
+	// Batch tunes group commit (see BatchConfig). The zero value is cap
+	// 1: every proposal is its own batch.
 	Batch BatchConfig
 	// Ack coalesces delivery acks (see AckConfig). The zero value acks
-	// every delivery immediately, the legacy behavior.
+	// every delivery immediately.
 	Ack AckConfig
 }
 
@@ -203,20 +204,18 @@ func histBucket(n int) int {
 // Broadcaster delivers totally-ordered messages within installed views:
 // the view's coordinator sequences, every install triggers a flush
 // barrier and state transfer (DESIGN.md §11), and messages for views not
-// yet installed locally are buffered for redelivery. With Batch set it
-// runs the group-commit wire (DESIGN.md §12): origins coalesce proposals
-// into PubBatch frames, the sequencer assigns contiguous slot ranges and
-// fans out SeqdBatch frames carrying the stability frontier, and members
-// ack coalesced. It implements live.AppHook; attach one per node via
-// live.Options.App. All state is loop-owned — only Propose and the Stats
-// fields are safe from other goroutines.
+// yet installed locally are buffered for redelivery. The op path is the
+// group-commit wire (DESIGN.md §12) at every batch cap: origins coalesce
+// proposals into PubBatch frames, the sequencer assigns contiguous slot
+// ranges and fans out SeqdBatch frames carrying the stability frontier,
+// and members ack coalesced. It implements live.AppHook; attach one per
+// node via live.Options.App. All state is loop-owned — only Propose and
+// the Stats fields are safe from other goroutines.
 type Broadcaster struct {
 	n     live.AppNode
 	cfg   Config
 	self  ids.ProcID
 	stats Stats
-
-	batching bool // cfg.Batch.MaxEntries > 1
 
 	installed  bool
 	ver        uint64 // current installed view version
@@ -238,13 +237,13 @@ type Broadcaster struct {
 	future  map[uint64][]futureMsg // ver → messages parked until that install
 	futureN int
 	preSync []futureMsg // current-view traffic arriving before sync (defensive)
-	pubHold []Pub       // pubs held while this node is the (un-synced) sequencer
+	pubHold []heldPub   // pubs held while this node is the (un-synced) sequencer
 
 	// origin state
 	nextPub  uint64
 	inflight map[uint64]*pubState
 
-	// origin group-commit queue (batching only): pubIDs awaiting a flush
+	// origin group-commit queue: pubIDs awaiting a flush
 	pubQueue      []uint64
 	pubQueueBytes int
 	pubsUnseqd    int // own pubs shipped but not yet slotted (pipeline depth)
@@ -279,6 +278,13 @@ type futureMsg struct {
 	payload any
 }
 
+// heldPub is one proposal parked at a sequencer whose order is not open
+// yet, with the origin its PubBatch named.
+type heldPub struct {
+	origin ids.ProcID
+	item   PubItem
+}
+
 type pubState struct {
 	body []byte
 	done func(pubID uint64, err error)
@@ -294,13 +300,14 @@ func New(n live.AppNode, cfg Config) *Broadcaster {
 	if cfg.MaxBuffered <= 0 {
 		cfg.MaxBuffered = 4096
 	}
-	if cfg.Batch.MaxEntries > 1 {
-		if cfg.Batch.MaxBytes <= 0 {
-			cfg.Batch.MaxBytes = 256 << 10
-		}
-		if cfg.Batch.MaxDelay <= 0 {
-			cfg.Batch.MaxDelay = time.Millisecond
-		}
+	if cfg.Batch.MaxEntries < 1 {
+		cfg.Batch.MaxEntries = 1
+	}
+	if cfg.Batch.MaxBytes <= 0 {
+		cfg.Batch.MaxBytes = 256 << 10
+	}
+	if cfg.Batch.MaxDelay <= 0 {
+		cfg.Batch.MaxDelay = time.Millisecond
 	}
 	if cfg.Ack.Every > 1 && cfg.Ack.Delay <= 0 {
 		cfg.Ack.Delay = time.Millisecond
@@ -309,7 +316,6 @@ func New(n live.AppNode, cfg Config) *Broadcaster {
 		n:        n,
 		cfg:      cfg,
 		self:     n.ID(),
-		batching: cfg.Batch.MaxEntries > 1,
 		pending:  make(map[uint64]Entry),
 		applied:  make(map[ids.ProcID]uint64),
 		future:   make(map[uint64][]futureMsg),
@@ -335,7 +341,7 @@ func (b *Broadcaster) Propose(body []byte, done func(pubID uint64, err error)) {
 		p := &pubState{body: body, done: done}
 		b.inflight[id] = p
 		if b.installed && b.synced {
-			b.sendPub(id, p)
+			b.enqueuePub(id, len(p.body))
 		}
 		// Not synced yet: afterSync's resubmission sweep picks it up.
 	})
@@ -365,31 +371,14 @@ func (b *Broadcaster) Fence(fn func()) {
 	b.fences = append(b.fences, fence{seq: seq, fn: fn})
 }
 
-func (b *Broadcaster) sendPub(id uint64, p *pubState) {
-	if b.batching {
-		b.enqueuePub(id, len(p.body))
-		return
-	}
-	pub := Pub{Origin: b.self, PubID: id, Body: p.body}
-	if b.isSeq {
-		if b.synced {
-			b.sequence(pub)
-		} else {
-			b.pubHold = append(b.pubHold, pub)
-		}
-		return
-	}
-	b.n.Send(b.seqID, pub)
-}
-
 // enqueuePub queues one proposal for the next group-commit flush. The
 // flush is pipeline-paced, the classic group-commit discipline: ship
 // immediately when this origin has nothing in flight (the batch is
 // whatever accumulated — size 1 at low load, so an idle group pays no
 // batching latency), let an in-flight batch absorb new arrivals, and
-// flush early when a size cap trips. The timer is only a liveness
-// fallback for the sequencer's ride-along queue and for pipeline state
-// lost to a view change.
+// flush early when a size cap trips — at cap 1 that is every proposal.
+// The timer is only a liveness fallback for the sequencer's ride-along
+// queue and for pipeline state lost to a view change.
 func (b *Broadcaster) enqueuePub(id uint64, size int) {
 	b.pubQueue = append(b.pubQueue, id)
 	b.pubQueueBytes += size
@@ -446,14 +435,8 @@ func (b *Broadcaster) flushPubs() {
 // HandleApp routes one received broadcast payload (event loop).
 func (b *Broadcaster) HandleApp(from ids.ProcID, payload any) {
 	switch m := payload.(type) {
-	case Pub:
-		b.onPub(m)
 	case PubBatch:
 		b.onPubBatch(m)
-	case Seqd:
-		if b.route(m.Ver, from, payload) {
-			b.onSeqd(m)
-		}
 	case SeqdBatch:
 		if b.route(m.Ver, from, payload) {
 			b.onSeqdBatch(m)
@@ -480,7 +463,7 @@ func (b *Broadcaster) HandleApp(from ids.ProcID, payload any) {
 // route files a view-tagged payload: current view → handle now (true);
 // future view → park in the view-change buffer; past view → drop. The
 // buffer preserves arrival order per view, so per-channel FIFO survives
-// parking (a ViewSync always replays before the Seqds behind it).
+// parking (a ViewSync always replays before the SeqdBatches behind it).
 func (b *Broadcaster) route(ver uint64, from ids.ProcID, payload any) bool {
 	if b.installed && ver == b.ver {
 		return true
@@ -578,7 +561,7 @@ func (b *Broadcaster) HandleInstall(ver member.Version, members []ids.ProcID) {
 	b.pubQueueBytes = 0
 	b.pubsUnseqd = 0
 	b.ackLast = 0
-	b.stableDirty = false
+	b.clearStableDirty()
 	if b.cancelFlush != nil {
 		b.cancelFlush()
 		b.cancelFlush = nil
@@ -586,10 +569,6 @@ func (b *Broadcaster) HandleInstall(ver member.Version, members []ids.ProcID) {
 	if b.cancelAck != nil {
 		b.cancelAck()
 		b.cancelAck = nil
-	}
-	if b.cancelStable != nil {
-		b.cancelStable()
-		b.cancelStable = nil
 	}
 	for i := range b.fences {
 		b.fences[i].seq = fenceResync
@@ -631,21 +610,9 @@ func (b *Broadcaster) drainFuture(v uint64) {
 
 // --- order processing --------------------------------------------------------
 
-func (b *Broadcaster) onSeqd(m Seqd) {
-	if !b.synced {
-		b.preSync = append(b.preSync, futureMsg{from: m.Origin, payload: m})
-		return
-	}
-	b.processEntry(Entry(m))
-	if !b.isSeq {
-		b.maybeAck()
-	}
-}
-
 // onSeqdBatch files one contiguous slot range of the current view's
 // order, acks the whole range at most once, then folds in the piggybacked
-// stability frontier — the same order (entries, ack, stable) the
-// unbatched wire produces with individual frames.
+// stability frontier.
 func (b *Broadcaster) onSeqdBatch(m SeqdBatch) {
 	if !b.synced {
 		b.preSync = append(b.preSync, futureMsg{payload: m})
@@ -664,7 +631,7 @@ func (b *Broadcaster) onSeqdBatch(m SeqdBatch) {
 
 // maybeAck implements ack coalescing: send the cumulative ack once Every
 // deliveries are pending, otherwise hold it behind the ack timer. With
-// Every ≤ 1 every delivery acks immediately (legacy).
+// Every ≤ 1 the count cap is always reached: every delivery acks at once.
 func (b *Broadcaster) maybeAck() {
 	if b.ackLast >= b.next-1 {
 		return
@@ -792,19 +759,6 @@ func (b *Broadcaster) setStable(s uint64) {
 
 // --- sequencer ---------------------------------------------------------------
 
-func (b *Broadcaster) onPub(p Pub) {
-	if b.installed && b.isSeq && b.synced {
-		if b.batching {
-			b.sequenceBatch(p.Origin, []PubItem{{PubID: p.PubID, Body: p.Body}})
-			b.flushOwnAlong()
-		} else {
-			b.sequence(p)
-		}
-		return
-	}
-	b.holdPub(p)
-}
-
 func (b *Broadcaster) onPubBatch(pb PubBatch) {
 	if b.installed && b.isSeq && b.synced {
 		b.sequenceBatch(pb.Origin, pb.Pubs)
@@ -812,7 +766,7 @@ func (b *Broadcaster) onPubBatch(pb PubBatch) {
 		return
 	}
 	for _, it := range pb.Pubs {
-		b.holdPub(Pub{Origin: pb.Origin, PubID: it.PubID, Body: it.Body})
+		b.holdPub(pb.Origin, it)
 	}
 }
 
@@ -831,42 +785,23 @@ func (b *Broadcaster) flushOwnAlong() {
 // holdPub parks a pub: this node may be (or become) the sequencer
 // mid-sync. Pubs held across a view change where it is not are discarded
 // — origins resubmit on their own installs.
-func (b *Broadcaster) holdPub(p Pub) {
+func (b *Broadcaster) holdPub(origin ids.ProcID, it PubItem) {
 	if len(b.pubHold) < b.cfg.MaxBuffered {
-		b.pubHold = append(b.pubHold, p)
+		b.pubHold = append(b.pubHold, heldPub{origin, it})
 	} else {
 		b.stats.DroppedOverflow.Add(1)
 	}
 }
 
-// sequence assigns the next order slot to a fresh pub and fans it out as
-// an individual Seqd — the unbatched wire. The per-origin frontier is a
-// complete duplicate filter: pubs arrive and are re-submitted in PubID
-// order, so each origin's sequenced set is always a PubID prefix and one
-// max suffices.
-func (b *Broadcaster) sequence(p Pub) {
-	if p.PubID <= b.applied[p.Origin] {
-		return // duplicate (resubmission raced the original)
-	}
-	en := Entry{Ver: b.ver, Seq: b.seqNext, Origin: p.Origin, PubID: p.PubID, Body: p.Body}
-	b.seqNext++
-	b.stats.Sequenced.Add(1)
-	for _, m := range b.members {
-		if m != b.self {
-			b.n.Send(m, Seqd(en))
-		}
-	}
-	b.processEntry(en)
-	b.noteAck(b.self, b.next-1)
-}
-
-// sequenceBatch is the group-commit sequencing step: filter duplicates,
-// assign one contiguous slot range to everything fresh, and fan the range
-// out as a single SeqdBatch carrying the current stability frontier.
+// sequenceBatch is the sequencing step: filter duplicates (a resubmission
+// can race the original), assign one contiguous slot range to everything
+// fresh, and fan the range out as a single SeqdBatch carrying the current
+// stability frontier.
 func (b *Broadcaster) sequenceBatch(origin ids.ProcID, items []PubItem) {
-	// Items arrive in PubID order (FIFO channels, sorted resubmission),
-	// so one frontier comparison per item is a complete duplicate filter,
-	// and filtering first keeps the assigned range contiguous.
+	// Items arrive in PubID order (FIFO channels, sorted resubmission), so
+	// each origin's sequenced set is always a PubID prefix: one frontier
+	// comparison per item is a complete duplicate filter, and filtering
+	// first keeps the assigned range contiguous.
 	keep := 0
 	for _, it := range items {
 		if it.PubID > b.applied[origin] {
@@ -887,11 +822,7 @@ func (b *Broadcaster) sequenceBatch(origin ids.ProcID, items []PubItem) {
 	b.stats.SeqdBatches.Add(1)
 	b.stats.BatchHist[histBucket(keep)].Add(1)
 	if b.stableDirty {
-		b.stableDirty = false
-		if b.cancelStable != nil {
-			b.cancelStable()
-			b.cancelStable = nil
-		}
+		b.clearStableDirty()
 		b.stats.StablePiggybacked.Add(1)
 	}
 	sb := SeqdBatch{Ver: b.ver, FirstSeq: first, Stable: b.stable, Entries: ents}
@@ -922,9 +853,12 @@ func (b *Broadcaster) noteAck(from ids.ProcID, s uint64) {
 
 // advanceStable recomputes the stability frontier: the minimum contiguous
 // ack over every member of the view. Crossing it triggers the Stable
-// fan-out that lets everyone prune and ack — broadcast immediately on the
-// unbatched wire, piggybacked on the next SeqdBatch under group commit
-// (with a MaxDelay timer so a quiescent group still learns it).
+// fan-out that lets everyone prune and ack. While sequenced entries are
+// still unstable or the sequencer's own queue is waiting to ride out, a
+// SeqdBatch is coming and the frontier piggybacks on it (with a MaxDelay
+// timer as the fallback). Once the frontier has caught up with everything
+// sequenced and nothing is queued, no SeqdBatch is owed, so a quiescent
+// group learns it now rather than a timer later.
 func (b *Broadcaster) advanceStable() {
 	min := ^uint64(0)
 	for _, m := range b.members {
@@ -936,7 +870,8 @@ func (b *Broadcaster) advanceStable() {
 		return
 	}
 	b.setStable(min)
-	if !b.batching {
+	if b.stable == b.seqNext-1 && len(b.pubQueue) == 0 {
+		b.clearStableDirty()
 		b.broadcastStable()
 		return
 	}
@@ -949,6 +884,16 @@ func (b *Broadcaster) advanceStable() {
 				b.broadcastStable()
 			}
 		})
+	}
+}
+
+// clearStableDirty drops a pending frontier piggyback and its fallback
+// timer: the frontier is going out now, or the view that owed it is over.
+func (b *Broadcaster) clearStableDirty() {
+	b.stableDirty = false
+	if b.cancelStable != nil {
+		b.cancelStable()
+		b.cancelStable = nil
 	}
 }
 
@@ -1120,18 +1065,14 @@ func (b *Broadcaster) afterSync() {
 			}
 		default:
 			b.stats.Resubmits.Add(1)
-			b.sendPub(id, p)
+			b.enqueuePub(id, len(p.body))
 		}
 	}
 	if b.isSeq {
 		hold := b.pubHold
 		b.pubHold = nil
-		for _, p := range hold {
-			if b.batching {
-				b.sequenceBatch(p.Origin, []PubItem{{PubID: p.PubID, Body: p.Body}})
-			} else {
-				b.sequence(p)
-			}
+		for _, h := range hold {
+			b.sequenceBatch(h.origin, []PubItem{h.item})
 		}
 	}
 	pre := b.preSync

@@ -2,6 +2,7 @@ package broadcast
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -35,6 +36,16 @@ func entry(ver, seq uint64, origin ids.ProcID, pubID uint64) Entry {
 	return Entry{Ver: ver, Seq: seq, Origin: origin, PubID: pubID, Body: []byte{byte(pubID)}}
 }
 
+// seqd1 and pub1 build the cap-1 wire: entry e as the SeqdBatch of one a
+// sequencer fans out, and as the PubBatch of one its origin submitted.
+func seqd1(e Entry) SeqdBatch {
+	return SeqdBatch{Ver: e.Ver, FirstSeq: e.Seq, Entries: []SeqdItem{{Origin: e.Origin, PubID: e.PubID, Body: e.Body}}}
+}
+
+func pub1(e Entry) PubBatch {
+	return PubBatch{Origin: e.Origin, Pubs: []PubItem{{PubID: e.PubID, Body: e.Body}}}
+}
+
 func TestFutureViewBufferReplaysInOrder(t *testing.T) {
 	fn := &fakeNode{id: proc("p2")}
 	var got []Msg
@@ -56,8 +67,8 @@ func TestFutureViewBufferReplaysInOrder(t *testing.T) {
 	// Traffic for view 2, which this member has not installed: the whole
 	// tail must park in the view-change buffer, per-channel order intact.
 	b.HandleApp(seq, ViewSync{Ver: 2, Entries: []Entry{entry(2, 1, px, 1), entry(2, 2, px, 2)}})
-	b.HandleApp(seq, Seqd(entry(2, 3, px, 3)))
-	b.HandleApp(seq, Seqd(entry(2, 4, px, 4)))
+	b.HandleApp(seq, seqd1(entry(2, 3, px, 3)))
+	b.HandleApp(seq, seqd1(entry(2, 4, px, 4)))
 	if n := b.stats.BufferedFuture.Load(); n != 3 {
 		t.Fatalf("BufferedFuture = %d, want 3", n)
 	}
@@ -67,9 +78,9 @@ func TestFutureViewBufferReplaysInOrder(t *testing.T) {
 
 	// Current-view traffic still flows around the parked tail.
 	py := proc("p8")
-	b.HandleApp(seq, Seqd(entry(0, 1, py, 1)))
+	b.HandleApp(seq, seqd1(entry(0, 1, py, 1)))
 	if len(got) != 1 || got[0].Origin != py {
-		t.Fatalf("current-view Seqd not delivered, got %v", got)
+		t.Fatalf("current-view SeqdBatch not delivered, got %v", got)
 	}
 
 	// Installing view 1 must not leak view-2 traffic...
@@ -78,7 +89,7 @@ func TestFutureViewBufferReplaysInOrder(t *testing.T) {
 		t.Fatalf("view-2 traffic replayed at view 1: %v", got)
 	}
 	// ...installing view 2 replays it: ViewSync first (it arrived first),
-	// then the Seqds behind it, delivering px 1..4 in order.
+	// then the SeqdBatches behind it, delivering px 1..4 in order.
 	b.HandleInstall(2, members)
 	if len(got) != 5 {
 		t.Fatalf("replay delivered %d messages, want 5: %v", len(got), got)
@@ -100,7 +111,7 @@ func TestStaleViewTrafficDropped(t *testing.T) {
 	b.HandleApp(seq, ViewSync{Ver: 3, HasSnap: true})
 
 	px := proc("p9")
-	b.HandleApp(seq, Seqd(entry(1, 1, px, 1)))
+	b.HandleApp(seq, seqd1(entry(1, 1, px, 1)))
 	b.HandleApp(seq, Stable{Ver: 2, Seq: 5})
 	b.HandleApp(seq, ViewSync{Ver: 1})
 	if n := b.stats.DroppedStale.Load(); n != 3 {
@@ -118,7 +129,7 @@ func TestFutureBufferOverflowCapped(t *testing.T) {
 	b.HandleInstall(0, []ids.ProcID{seq, proc("p2")})
 	px := proc("p9")
 	for i := 0; i < 20; i++ {
-		b.HandleApp(seq, Seqd(entry(5, uint64(i+1), px, uint64(i+1))))
+		b.HandleApp(seq, seqd1(entry(5, uint64(i+1), px, uint64(i+1))))
 	}
 	if n := b.stats.BufferedFuture.Load(); n != 8 {
 		t.Fatalf("BufferedFuture = %d, want cap 8", n)
@@ -143,11 +154,11 @@ func TestFutureBufferOverflowEvictsFarthestFirst(t *testing.T) {
 
 	px := proc("p9")
 	for i := 0; i < 8; i++ {
-		b.HandleApp(seq, Seqd(entry(9, uint64(i+1), px, uint64(i+1))))
+		b.HandleApp(seq, seqd1(entry(9, uint64(i+1), px, uint64(i+1))))
 	}
 	// The near-future view's sync + first entry arrive at a full buffer.
 	b.HandleApp(seq, ViewSync{Ver: 1, Entries: []Entry{entry(1, 1, px, 41)}})
-	b.HandleApp(seq, Seqd(entry(1, 2, px, 42)))
+	b.HandleApp(seq, seqd1(entry(1, 2, px, 42)))
 
 	if n := b.futureN; n != 8 {
 		t.Fatalf("futureN = %d, want cap 8", n)
@@ -163,7 +174,7 @@ func TestFutureBufferOverflowEvictsFarthestFirst(t *testing.T) {
 		t.Fatalf("OverflowDist[1] = %d, want 0 — the near-future frames must not be the drops", n)
 	}
 
-	// Install view 1: the parked ViewSync and Seqd replay in order.
+	// Install view 1: the parked ViewSync and SeqdBatch replay in order.
 	b.HandleInstall(1, members)
 	if len(got) != 2 || got[0].PubID != 41 || got[1].PubID != 42 {
 		t.Fatalf("view-1 replay delivered %v, want px/41 then px/42", got)
@@ -175,8 +186,8 @@ func TestFutureBufferOverflowEvictsFarthestFirst(t *testing.T) {
 		t.Fatalf("view-9 buffer holds %d frames, want 6", len(q))
 	} else {
 		for i, fm := range q {
-			if e := fm.payload.(Seqd); e.Seq != uint64(i+1) {
-				t.Fatalf("view-9 survivor %d has seq %d, want %d (FIFO prefix broken)", i, e.Seq, i+1)
+			if e := fm.payload.(SeqdBatch); e.FirstSeq != uint64(i+1) {
+				t.Fatalf("view-9 survivor %d has seq %d, want %d (FIFO prefix broken)", i, e.FirstSeq, i+1)
 			}
 		}
 	}
@@ -191,9 +202,9 @@ func TestFutureBufferOverflowFarIncomingStillDropped(t *testing.T) {
 	b.HandleInstall(0, []ids.ProcID{seq, proc("p2")})
 	px := proc("p9")
 	for i := 0; i < 4; i++ {
-		b.HandleApp(seq, Seqd(entry(3, uint64(i+1), px, uint64(i+1))))
+		b.HandleApp(seq, seqd1(entry(3, uint64(i+1), px, uint64(i+1))))
 	}
-	b.HandleApp(seq, Seqd(entry(7, 1, px, 9)))
+	b.HandleApp(seq, seqd1(entry(7, 1, px, 9)))
 	if _, ok := b.future[7]; ok {
 		t.Fatal("farther-future frame displaced nearer parked traffic")
 	}
@@ -218,11 +229,11 @@ func TestSkippedInstallDropsIntermediateBuffer(t *testing.T) {
 	b.HandleApp(seq, ViewSync{Ver: 0, HasSnap: true})
 
 	px := proc("p9")
-	b.HandleApp(seq, Seqd(entry(1, 1, px, 1)))                               // for skipped view 1
+	b.HandleApp(seq, seqd1(entry(1, 1, px, 1)))                              // for skipped view 1
 	b.HandleApp(seq, ViewSync{Ver: 3, Entries: []Entry{entry(3, 1, px, 7)}}) // for view 3
 	b.HandleInstall(3, members)
 	if n := b.stats.DroppedStale.Load(); n != 1 {
-		t.Fatalf("DroppedStale = %d, want 1 (the view-1 Seqd)", n)
+		t.Fatalf("DroppedStale = %d, want 1 (the view-1 SeqdBatch)", n)
 	}
 	if len(got) != 1 || got[0].PubID != 7 {
 		t.Fatalf("view-3 replay delivered %v, want exactly px/7", got)
@@ -258,7 +269,7 @@ func TestFutureBufferProperty(t *testing.T) {
 			var script []any
 			seqNo := uint64(0)
 			// The view opens with its ViewSync carrying a random prefix
-			// of its entries; the rest follow as Seqds.
+			// of its entries; the rest follow as SeqdBatches of one.
 			nSync := rng.Intn(nmsg + 1)
 			for i := 0; i < nmsg; i++ {
 				pub++
@@ -268,7 +279,7 @@ func TestFutureBufferProperty(t *testing.T) {
 				if i < nSync {
 					ents = append(ents, e)
 				} else {
-					script = append(script, Seqd(e))
+					script = append(script, seqd1(e))
 				}
 			}
 			scripts[v] = append([]any{ViewSync{Ver: ver, Entries: ents}}, script...)
@@ -319,18 +330,19 @@ func TestProposeBeforeFirstInstallIsHeldThenSent(t *testing.T) {
 	b := New(fn, Config{})
 	seq := proc("p1")
 	done := 0
-	b.Propose([]byte("x"), func(uint64, error) { done++ })
+	b.Propose([]byte{1}, func(uint64, error) { done++ })
 	if len(fn.takeSent()) != 0 {
 		t.Fatal("pub escaped before any view installed")
 	}
 	b.HandleInstall(0, []ids.ProcID{seq, proc("p2")})
 	fn.takeSent() // the flush
 	b.HandleApp(seq, ViewSync{Ver: 0, HasSnap: true})
+	own := entry(0, 1, proc("p2"), 1)
 	var pubs int
 	for _, s := range fn.takeSent() {
-		if p, ok := s.payload.(Pub); ok {
+		if pb, ok := s.payload.(PubBatch); ok {
 			pubs++
-			if s.to != seq || p.PubID != 1 {
+			if s.to != seq || !reflect.DeepEqual(pb, pub1(own)) {
 				t.Fatalf("pub resubmitted wrong: %+v", s)
 			}
 		}
@@ -342,7 +354,7 @@ func TestProposeBeforeFirstInstallIsHeldThenSent(t *testing.T) {
 		t.Fatal("proposal acked without stability")
 	}
 	// Sequence comes back, then stability: the ack fires only at Stable.
-	b.HandleApp(seq, Seqd(entry(0, 1, proc("p2"), 1)))
+	b.HandleApp(seq, seqd1(own))
 	if done != 0 {
 		t.Fatal("proposal acked at delivery; stability is the contract")
 	}

@@ -9,6 +9,12 @@
 // member of the view is *stable*: no crash or membership change can lose
 // it, so that — and only that — is when a client ack fires.
 //
+// There is one op path, group commit (DESIGN.md §12): proposals travel in
+// PubBatch frames and slots in SeqdBatch frames at every BatchConfig, and
+// a batch cap of 1 (the zero Config) is simply a batch of one. The
+// stability frontier rides the next SeqdBatch while one is owed and is
+// broadcast at once when the group goes quiet.
+//
 // Across views the layer is view-synchronous by state transfer: every
 // install triggers a flush barrier (each member offers its retained
 // unstable log and applied frontiers to the new coordinator), the

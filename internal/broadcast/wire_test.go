@@ -8,13 +8,11 @@ import (
 	"procgroup/internal/transport"
 )
 
-// wirePayloads covers the whole broadcast vocabulary (kinds 18–25), with
+// wirePayloads covers the whole broadcast vocabulary (kinds 20–25), with
 // populated and zero-valued fields.
 func wirePayloads() []any {
 	px := ids.ProcID{Site: "p3", Incarnation: 2}
 	return []any{
-		Pub{Origin: px, PubID: 7, Body: []byte("set k v")},
-		Pub{Origin: ids.Named("p1")}, // zero PubID, nil body
 		PubBatch{Origin: px, Pubs: []PubItem{
 			{PubID: 7, Body: []byte("set k v")},
 			{PubID: 8, Body: nil}, // empty body mid-batch
@@ -27,7 +25,6 @@ func wirePayloads() []any {
 			{Origin: px, PubID: 8, Body: []byte("z")},
 		}},
 		SeqdBatch{Ver: 4}, // empty range, frontier only
-		Seqd{Ver: 3, Seq: 12, Origin: px, PubID: 7, Body: []byte("set k v")},
 		AckSeq{Ver: 3, Seq: 12},
 		AckSeq{},
 		Stable{Ver: 3, Seq: 9},
@@ -49,8 +46,8 @@ func wirePayloads() []any {
 	}
 }
 
-// TestBroadcastWireRoundTrip: every broadcast payload travels the binary
-// fast path (no gob fallback) and round-trips structurally intact.
+// TestBroadcastWireRoundTrip: every broadcast payload has a binary codec
+// and round-trips structurally intact.
 func TestBroadcastWireRoundTrip(t *testing.T) {
 	for _, payload := range wirePayloads() {
 		in := transport.Frame{From: "p1", To: "p3#2", Seq: 5, MsgID: 0, Body: payload}
@@ -58,34 +55,12 @@ func TestBroadcastWireRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%T: encode: %v", payload, err)
 		}
-		if blob[0] == 0 {
-			t.Errorf("%T: fell back to the gob escape hatch; broadcast payloads must have binary codecs", payload)
-		}
 		out, err := transport.DecodeFrame(blob)
 		if err != nil {
 			t.Fatalf("%T: decode: %v", payload, err)
 		}
 		if !wireEqual(in, out) {
 			t.Errorf("%T: round trip\n in: %#v\nout: %#v", payload, in, out)
-		}
-	}
-}
-
-// TestBroadcastWireRoundTripGob: the kind-0 escape hatch carries the same
-// vocabulary (transports without the binary fast path stay compatible).
-func TestBroadcastWireRoundTripGob(t *testing.T) {
-	for _, payload := range wirePayloads() {
-		in := transport.Frame{From: "p1", To: "p2", Seq: 1, MsgID: 0, Body: payload}
-		blob, err := transport.EncodeFrameGob(in)
-		if err != nil {
-			t.Fatalf("%T: gob encode: %v", payload, err)
-		}
-		out, err := transport.DecodeFrame(blob)
-		if err != nil {
-			t.Fatalf("%T: decode: %v", payload, err)
-		}
-		if !wireEqual(in, out) {
-			t.Errorf("%T: gob round trip\n in: %#v\nout: %#v", payload, in, out)
 		}
 	}
 }
@@ -99,12 +74,6 @@ func wireEqual(a, b transport.Frame) bool {
 
 func normalize(f transport.Frame) transport.Frame {
 	switch v := f.Body.(type) {
-	case Pub:
-		v.Body = unempty(v.Body)
-		f.Body = v
-	case Seqd:
-		v.Body = unempty(v.Body)
-		f.Body = v
 	case PubBatch:
 		if len(v.Pubs) == 0 {
 			v.Pubs = nil

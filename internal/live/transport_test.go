@@ -260,7 +260,8 @@ type testBulk struct{}
 
 func (testBulk) SubstrateTraffic() {}
 
-func init() { transport.RegisterPayload(testBulk{}) }
+// 213: a test-only wire kind (internal/transport's own fixtures take 210–212).
+func init() { transport.RegisterEmptyPayload(213, testBulk{}) }
 
 // TestHeartbeatGoldenWireFormat pins the beacon's kind tag and layout:
 // the zero-allocation fast path depends on this exact encoding.

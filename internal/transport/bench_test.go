@@ -1,5 +1,4 @@
-// Wire-path benchmarks: the codec (binary vs. the retained gob arm) and
-// raw mux-connection throughput. cmd/gmpbench -exp transport runs the
+// Wire-path benchmarks: the codec and raw mux-connection throughput. cmd/gmpbench -exp transport runs the
 // same measurements programmatically and emits BENCH_transport.json so
 // the perf trajectory is machine-readable across PRs.
 //
@@ -38,10 +37,8 @@ func benchFrames() []Frame {
 	}
 }
 
-// BenchmarkFrameCodec measures the wire codec per frame: the binary path
-// against the retained gob escape hatch, encode-only and full round
-// trips. The acceptance bar for the fast path is ≥10× fewer allocs/op
-// than gob.
+// BenchmarkFrameCodec measures the wire codec per frame, encode-only and
+// full round trips.
 func BenchmarkFrameCodec(b *testing.B) {
 	frames := benchFrames()
 	b.Run("binary/encode", func(b *testing.B) {
@@ -65,26 +62,6 @@ func BenchmarkFrameCodec(b *testing.B) {
 				b.Fatal(err)
 			}
 			if _, err := DecodeFrame(buf); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("gob/encode", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := EncodeFrameGob(frames[i%len(frames)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("gob/roundtrip", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			blob, err := EncodeFrameGob(frames[i%len(frames)])
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := DecodeFrame(blob); err != nil {
 				b.Fatal(err)
 			}
 		}

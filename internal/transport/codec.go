@@ -1,9 +1,7 @@
 package transport
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"math"
@@ -35,10 +33,9 @@ const maxFrame = 1 << 20
 // Wire format (the 4-byte big-endian length prefix of WriteFrame/ReadFrame
 // is outside this layout):
 //
-//	byte 0:  payload kind tag
-//	kind 0:  the rest is a self-contained gob blob of the whole Frame —
-//	         the escape hatch for payload types with no binary codec.
-//	kind>0:  uvarint-len From | uvarint-len To | uvarint Seq |
+//	byte 0:  payload kind tag (a registered binary codec's; anything
+//	         else, retired kinds included, is a decode error)
+//	then:    uvarint-len From | uvarint-len To | uvarint Seq |
 //	         varint MsgID | kind-specific payload fields
 //
 // Strings are uvarint length + raw bytes; process identifiers inside
@@ -46,7 +43,7 @@ const maxFrame = 1 << 20
 // zigzag varints; slices are uvarint count + elements (count 0 decodes to
 // nil). The golden-bytes test in codec_test.go pins this layout.
 const (
-	kindGob byte = iota // gob escape hatch
+	_ byte = iota // 0 is retired (see retiredKinds)
 	kindInvite
 	kindOK
 	kindCommit
@@ -64,21 +61,13 @@ const (
 // Substrate layers register their own payloads at kinds ≥ 16; 0–15 are
 // reserved for the closed core vocabulary and transport bookkeeping.
 
-// RegisterPayload makes a concrete payload type encodable inside a Frame
-// through the kind-0 gob escape hatch. The core vocabulary additionally
-// has hand-rolled binary codecs (below); payload types registered only
-// here still travel, paying the gob tax per frame.
-func RegisterPayload(v any) { gob.Register(v) }
-
-func init() {
-	for _, v := range []any{
-		core.Invite{}, core.OK{}, core.Commit{},
-		core.Interrogate{}, core.InterrogateOK{},
-		core.Propose{}, core.ProposeOK{}, core.ReconfCommit{},
-		core.FaultyReport{}, core.JoinRequest{}, core.StateTransfer{},
-	} {
-		RegisterPayload(v)
-	}
+// retiredKinds once carried traffic and are never reassigned: a frame
+// still bearing one must stay an unknown kind (a decode error, the stream
+// dropped like any corrupt one) rather than be read as a new vocabulary.
+var retiredKinds = map[byte]string{
+	0:  "the gob escape hatch",
+	18: "broadcast.Pub",
+	19: "broadcast.Seqd",
 }
 
 // --- Binary payload registry -------------------------------------------------
@@ -133,8 +122,8 @@ var binReg = struct {
 }{}
 
 func registerBinary(kind byte, proto any, enc func(*Encoder, any), dec func(*Decoder) any, empty bool, class PayloadClass) {
-	if kind == kindGob {
-		panic("transport: kind 0 is the gob escape hatch")
+	if was, retired := retiredKinds[kind]; retired {
+		panic(fmt.Sprintf("transport: kind %d is retired (was %s)", kind, was))
 	}
 	c := &payloadCodec{
 		kind: kind, typ: reflect.TypeOf(proto), empty: empty,
@@ -450,16 +439,12 @@ func prealloc(n int) int {
 var encBufs = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
 // AppendFrame appends f's wire encoding to dst and returns the extended
-// slice. Payload types with a binary codec use it; everything else falls
-// back to the kind-0 gob escape hatch.
+// slice. A payload type with no registered binary codec cannot travel:
+// that is an error naming the type, which senders count as a drop.
 func AppendFrame(dst []byte, f Frame) ([]byte, error) {
 	c := binCodecFor(f.Body)
 	if c == nil {
-		blob, err := EncodeFrameGob(f)
-		if err != nil {
-			return nil, err
-		}
-		return append(dst, blob...), nil
+		return nil, fmt.Errorf("transport: encode frame: no binary codec registered for %T", f.Body)
 	}
 	e := Encoder{b: dst}
 	e.Byte(c.kind)
@@ -489,19 +474,6 @@ func EncodeFrame(f Frame) ([]byte, error) {
 	return out, nil
 }
 
-// EncodeFrameGob forces the kind-0 escape hatch: one self-contained gob
-// blob per frame, re-carrying its type wiring every time. Unregistered
-// payload types take this path automatically; it is exported as the
-// baseline arm of the codec benchmarks.
-func EncodeFrameGob(f Frame) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteByte(kindGob)
-	if err := gob.NewEncoder(&buf).Encode(f); err != nil {
-		return nil, fmt.Errorf("transport: encode frame: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
 // DecodeFrame parses a blob produced by AppendFrame/EncodeFrame.
 func DecodeFrame(b []byte) (Frame, error) {
 	var d Decoder
@@ -514,13 +486,6 @@ func decodeFrame(d *Decoder) (Frame, error) {
 		return Frame{}, fmt.Errorf("transport: decode empty frame")
 	}
 	kind := d.Byte()
-	if kind == kindGob {
-		var f Frame
-		if err := gob.NewDecoder(bytes.NewReader(d.b[d.off:])).Decode(&f); err != nil {
-			return Frame{}, fmt.Errorf("transport: decode frame: %w", err)
-		}
-		return f, nil
-	}
 	c := binCodecByKind(kind)
 	if c == nil {
 		return Frame{}, fmt.Errorf("transport: unknown payload kind %d", kind)

@@ -2,9 +2,16 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
+	"errors"
+	"fmt"
+	"net"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"procgroup/internal/core"
 	"procgroup/internal/ids"
@@ -49,9 +56,6 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%T: encode: %v", payload, err)
 		}
-		if blob[0] == 0 {
-			t.Errorf("%T: fell back to the gob escape hatch; core payloads must have binary codecs", payload)
-		}
 		out, err := DecodeFrame(blob)
 		if err != nil {
 			t.Fatalf("%T: decode: %v", payload, err)
@@ -62,50 +66,136 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFrameRoundTripGob proves codec equivalence: the kind-0 escape hatch
-// carries the same vocabulary to the same decoded frames.
-func TestFrameRoundTripGob(t *testing.T) {
-	for _, payload := range testPayloads() {
-		in := Frame{From: "p1", To: "p3#2", Seq: 9, MsgID: 42, Body: payload}
-		blob, err := EncodeFrameGob(in)
-		if err != nil {
-			t.Fatalf("%T: gob encode: %v", payload, err)
-		}
-		if blob[0] != 0 {
-			t.Fatalf("%T: gob arm must carry kind tag 0, got %d", payload, blob[0])
-		}
-		out, err := DecodeFrame(blob)
-		if err != nil {
-			t.Fatalf("%T: decode: %v", payload, err)
-		}
-		if !reflect.DeepEqual(in, out) {
-			t.Errorf("%T: gob round trip\n in: %#v\nout: %#v", payload, in, out)
-		}
+// noCodecPayload has no binary codec, so it cannot be encoded at all.
+type noCodecPayload struct{ S string }
+
+// TestUnencodablePayloadIsOneCountedDrop: a payload type with no codec is
+// an encode error naming the type, and on every encoding transport the
+// send is counted as exactly one drop and never reaches a handler.
+func TestUnencodablePayloadIsOneCountedDrop(t *testing.T) {
+	if _, err := EncodeFrame(Frame{From: "a", To: "b", Body: noCodecPayload{}}); err == nil ||
+		!strings.Contains(err.Error(), "noCodecPayload") {
+		t.Fatalf("encode error = %v, want one naming the payload type", err)
+	}
+	for _, tc := range []struct {
+		name string
+		tr   Transport
+	}{
+		{"tcp", NewTCP()},
+		{"udp", NewUDP()},
+		{"lossy", NewLossy(LossyOptions{})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer tc.tr.Close()
+			a, b := ids.Named("a"), ids.Named("b")
+			var s sink
+			if err := tc.tr.Register(a, func(ids.ProcID, Message) {}); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.tr.Register(b, s.handler); err != nil {
+				t.Fatal(err)
+			}
+			tc.tr.Send(a, b, Message{MsgID: 1, Payload: noCodecPayload{S: "x"}})
+			waitFor(t, 5*time.Second, func() bool { return tc.tr.Stats().Dropped() >= 1 }, "the counted drop")
+			// A frame behind it on the same channel still travels: the
+			// bad one was skipped, not wedged in a queue.
+			tc.tr.Send(a, b, Message{MsgID: 2, Payload: fifoPayload{N: 2}})
+			waitFor(t, 10*time.Second, func() bool { return s.len() >= 1 }, "the frame behind it")
+			if st := tc.tr.Stats(); st.WriteFailed != 1 || st.Dropped() != 1 {
+				t.Errorf("stats = %+v, want exactly one WriteFailed drop", st)
+			}
+			if s.len() != 1 || s.msg(0).MsgID != 2 {
+				t.Errorf("handler saw %d messages (first MsgID %d), want only the encodable one", s.len(), s.msg(0).MsgID)
+			}
+		})
 	}
 }
 
-// gobOnlyPayload has no binary codec; it must travel via the escape hatch.
-type gobOnlyPayload struct{ S string }
+// retiredBody is a well-framed body bearing a retired kind byte: the
+// header every frame carries, then fields shaped like the old Pub's.
+func retiredBody(kind byte) []byte {
+	var e Encoder
+	e.Byte(kind)
+	e.String("a")
+	e.String("b")
+	e.Uvarint(1)
+	e.Varint(1)
+	e.String("a") // origin site, incarnation, pubID, body
+	e.Uvarint(0)
+	e.Uvarint(1)
+	e.Blob([]byte("x"))
+	return e.Bytes()
+}
 
-func init() { RegisterPayload(gobOnlyPayload{}) }
+// prefixed adds the stream plane's 4-byte length prefix to a frame body.
+func prefixed(body []byte) []byte {
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
+}
 
-// TestUnregisteredPayloadFallsBackToGob: payload types without a binary
-// codec still travel, tagged kind 0.
-func TestUnregisteredPayloadFallsBackToGob(t *testing.T) {
-	in := Frame{From: "a", To: "b", MsgID: 1, Body: gobOnlyPayload{S: "x"}}
-	blob, err := EncodeFrame(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if blob[0] != 0 {
-		t.Fatalf("unregistered payload got kind %d, want the gob escape hatch", blob[0])
-	}
-	out, err := DecodeFrame(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Errorf("gob fallback round trip\n in: %#v\nout: %#v", in, out)
+// TestRetiredKindsAreRejected: kinds 0 (gob), 18 (Pub) and 19 (Seqd) are
+// unknown kinds now — never interpreted, never reassigned. Both decoders
+// error; TCP counts DecodeFailed and closes the connection like for any
+// corrupt stream; UDP counts it and keeps its socket.
+func TestRetiredKindsAreRejected(t *testing.T) {
+	for _, kind := range []byte{0, 18, 19} {
+		t.Run(fmt.Sprintf("kind%d", kind), func(t *testing.T) {
+			body := retiredBody(kind)
+			if _, err := DecodeFrame(body); err == nil {
+				t.Error("datagram decoder accepted a retired kind")
+			}
+			if _, err := ReadFrame(bytes.NewReader(prefixed(body))); err == nil {
+				t.Error("stream decoder accepted a retired kind")
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Error("a retired kind was registered again")
+					}
+				}()
+				RegisterEmptyPayload(kind, struct{ retired byte }{})
+			}()
+
+			b := ids.Named("b")
+			var s sink
+			tcp := NewTCP()
+			defer tcp.Close()
+			if err := tcp.Register(b, s.handler); err != nil {
+				t.Fatal(err)
+			}
+			addr, _ := tcp.Addr(b)
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write(prefixed(body)); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, 5*time.Second, func() bool { return tcp.Stats().DecodeFailed == 1 }, "tcp decode-failed count")
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if _, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Errorf("stream stayed open after a retired-kind frame (read: %v)", err)
+			}
+
+			udp := NewUDP()
+			defer udp.Close()
+			if err := udp.Register(b, s.handler); err != nil {
+				t.Fatal(err)
+			}
+			addr, _ = udp.Addr(b)
+			dg, err := net.Dial("udp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer dg.Close()
+			if _, err := dg.Write(body); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, 5*time.Second, func() bool { return udp.Stats().DecodeFailed == 1 }, "udp decode-failed count")
+			if s.len() != 0 {
+				t.Errorf("a retired-kind frame reached a handler: %+v", s.msg(0))
+			}
+		})
 	}
 }
 

@@ -41,13 +41,17 @@
 // digest-vs-relay dissemination cost of DESIGN.md §10 is measured at
 // the wire. The TCP stream plane honors the reliable-FIFO contract
 // through transient faults: simultaneous opens resolve to the same
-// socket on both ends (smaller initiator wins), and the pair writer
+// socket on both ends (smaller initiator wins; a pair whose two ends
+// share one instance keeps its dialed socket), and the pair writer
 // retries failed dials and writes with backoff before accounting a
 // drop.
 // The wire codec (Frame, AppendFrame / EncodeFrame / ReadFrame /
 // DecodeFrame) is a hand-rolled binary format — length-prefixed on
 // streams, bare frame body per datagram — covering the whole
-// internal/core wire vocabulary plus registered substrate beacons, with
-// a gob escape hatch for everything else; the format is pinned
-// byte-for-byte by golden tests (DESIGN.md §6).
+// internal/core wire vocabulary plus whatever substrate layers register.
+// It is the only encoding: a payload type with no registered codec is an
+// encode error, counted by the sending transport as a drop, and a frame
+// whose kind byte is unregistered (retired kinds 0, 18 and 19 included)
+// is a decode error. The format is pinned byte-for-byte by golden tests
+// (DESIGN.md §6).
 package transport

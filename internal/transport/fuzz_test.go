@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bytes"
-	"encoding/binary"
 	"testing"
 
 	"procgroup/internal/core"
@@ -16,23 +15,20 @@ import (
 // decodes must re-encode, proving the decoded value is inside the codec's
 // domain.
 //
-// The seed corpus is built from real encodings (binary and gob arms) so
-// mutation starts from structurally plausible bytes.
+// The seed corpus is built from real encodings, plus well-framed bodies
+// bearing the retired kinds, so mutation starts from structurally
+// plausible bytes.
 func FuzzReadFrame(f *testing.F) {
 	seed := func(fr Frame) {
 		blob, err := EncodeFrame(fr)
 		if err != nil {
 			f.Fatal(err)
 		}
-		var buf bytes.Buffer
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], uint32(len(blob)))
-		buf.Write(hdr[:])
-		buf.Write(blob)
-		f.Add(buf.Bytes())
-		if len(buf.Bytes()) > 6 {
-			f.Add(buf.Bytes()[:len(buf.Bytes())-3]) // truncated body
-			f.Add(buf.Bytes()[:2])                  // truncated header
+		framed := prefixed(blob)
+		f.Add(framed)
+		if len(framed) > 6 {
+			f.Add(framed[:len(framed)-3]) // truncated body
+			f.Add(framed[:2])             // truncated header
 		}
 	}
 	p3 := ids.ProcID{Site: "p3", Incarnation: 2}
@@ -43,7 +39,9 @@ func FuzzReadFrame(f *testing.F) {
 	seed(Frame{From: "p2", To: "p1", Seq: 4, MsgID: 7, Body: core.InterrogateOK{
 		Ver: 2, Seq: member.Seq{member.Remove(p3)}, Next: member.Next{member.WildcardFor(ids.Named("p2"))},
 	}})
-	seed(Frame{From: "a", To: "b", MsgID: 1, Body: gobOnlyPayload{S: "x"}})
+	for _, kind := range []byte{0, 18, 19} {
+		f.Add(prefixed(retiredBody(kind)))
+	}
 	f.Add([]byte{0x00, 0x00, 0x00, 0x02, 0xfe, 0x01}) // unknown kind
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})             // oversized length
 	{                                                 // hostile 64-bit slice count (would wrap a multiplicative bound)
@@ -54,17 +52,13 @@ func FuzzReadFrame(f *testing.F) {
 		e.Uvarint(1)
 		e.Varint(1)
 		e.Uvarint(1 << 63)
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], uint32(len(e.Bytes())))
-		f.Add(append(hdr[:], e.Bytes()...))
+		f.Add(prefixed(e.Bytes()))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := ReadFrame(bytes.NewReader(data))
 		if err != nil || fr.Body == nil {
-			// Errors are expected on corrupt input; a nil Body can fall
-			// out of a mutated gob blob and is unencodable by design.
-			return
+			return // errors are expected on corrupt input
 		}
 		if _, err := EncodeFrame(fr); err != nil {
 			t.Fatalf("decoded frame does not re-encode: %v (%#v)", err, fr)
@@ -95,7 +89,9 @@ func FuzzReadDatagram(f *testing.F) {
 	seed(Frame{From: "p1", To: "p3#2", MsgID: 5, Body: core.Commit{
 		Op: member.Remove(p3), Ver: 4, Faulty: []ids.ProcID{p3},
 	}})
-	seed(Frame{From: "a", To: "b", MsgID: 1, Body: gobOnlyPayload{S: "x"}})
+	for _, kind := range []byte{0, 18, 19} {
+		f.Add(retiredBody(kind))
+	}
 	f.Add([]byte{})           // zero-length datagram
 	f.Add([]byte{0xfe, 0x01}) // unknown kind
 	{                         // hostile 64-bit slice count (would wrap a multiplicative bound)

@@ -393,9 +393,11 @@ func (t *TCP) readConn(c net.Conn, ep *tcpEndpoint, m *pairMux) {
 			t.stats.drop(dropDecodeFailed)
 			break
 		}
-		if len(shards) == 0 {
+		if len(shards) == 0 || body[0] == kindMuxHello {
 			// Single-core path: decode and route inline — the frame stays
-			// on this goroutine's stack.
+			// on this goroutine's stack. Hellos decode inline even with
+			// shards (the only frames that do, so rs is never needed
+			// there): a hello must adopt before later frames dispatch.
 			fr.dec.reset(body)
 			f, err := decodeFrame(&fr.dec)
 			if err != nil {
@@ -413,33 +415,6 @@ func (t *TCP) readConn(c net.Conn, ep *tcpEndpoint, m *pairMux) {
 				continue
 			}
 			t.route(f, rs)
-			continue
-		}
-		// Hellos and gob frames decode inline even with shards: a hello
-		// must adopt before later frames dispatch, and a gob body's
-		// channel cannot be found without decoding it. A decoded gob
-		// frame still rides its channel's shard queue so it cannot
-		// reorder against binary frames of the same channel.
-		if body[0] == kindMuxHello || body[0] == kindGob {
-			fr.dec.reset(body)
-			f := new(Frame) // escapes by design: it may be handed to a shard
-			*f, err = decodeFrame(&fr.dec)
-			if err != nil {
-				t.stats.drop(dropDecodeFailed)
-				break
-			}
-			if _, hello := f.Body.(muxHello); hello {
-				mm, keep := t.adopt(*f, c)
-				if !keep {
-					break
-				}
-				if mm != nil {
-					m = mm
-				}
-				continue
-			}
-			idx := int(fnvStrings(f.From, f.To) % uint32(len(shards)))
-			shards[idx].ch <- shardItem{f: f, rs: states[idx], conn: c}
 			continue
 		}
 		h, ok := chanShard(body)
@@ -468,13 +443,11 @@ type readShard struct {
 	ch chan shardItem
 }
 
-// shardItem is one inbound frame in flight to its decode shard: either a
-// raw pooled body, or (gob frames) an already-decoded frame that only
-// needs routing. rs is the dispatching connection's routing state for
-// this shard; conn lets the worker kill the stream on decode failure.
+// shardItem is one inbound frame in flight to its decode shard: a raw
+// pooled body. rs is the dispatching connection's routing state for this
+// shard; conn lets the worker kill the stream on decode failure.
 type shardItem struct {
 	body *[]byte
-	f    *Frame
 	rs   *routeState
 	conn net.Conn
 }
@@ -489,10 +462,6 @@ func (t *TCP) runShard(sh *readShard) {
 	var d Decoder
 	d.intern = make(map[string]string)
 	for it := range sh.ch {
-		if it.f != nil {
-			t.route(*it.f, it.rs)
-			continue
-		}
 		d.reset(*it.body)
 		f, err := decodeFrame(&d)
 		shardBufs.Put(it.body)
@@ -527,19 +496,6 @@ func chanShard(body []byte) (uint32, bool) {
 		off += int(n)
 	}
 	return h, true
-}
-
-// fnvStrings hashes from and to exactly as chanShard hashes their wire
-// bytes, so pre-decoded frames land in the same shard as binary ones.
-func fnvStrings(from, to string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(from); i++ {
-		h = (h ^ uint32(from[i])) * 16777619
-	}
-	for i := 0; i < len(to); i++ {
-		h = (h ^ uint32(to[i])) * 16777619
-	}
-	return h
 }
 
 // routeState caches one inbound goroutine's routing lookups so the
@@ -678,7 +634,7 @@ func (t *TCP) adopt(hello Frame, c net.Conn) (*pairMux, bool) {
 		m.conn, m.connInit = c, init
 		m.wakeLocked()
 		return m, true
-	case m.connInit == init && m.conn.LocalAddr().String() == c.RemoteAddr().String():
+	case m.connInit == init && farEndOf(m.conn, c):
 		// The far end of our own dialed connection (both pair ends live
 		// in this instance): read from it, write on the dialed end.
 		return nil, true
@@ -694,6 +650,13 @@ func (t *TCP) adopt(hello Frame, c net.Conn) (*pairMux, bool) {
 	default:
 		return nil, false // simultaneous open, incumbent wins: reject inbound
 	}
+}
+
+// farEndOf reports whether accepted is the other end of the socket dialed
+// here — the two legs of one connection when both pair ends share this
+// instance.
+func farEndOf(dialed, accepted net.Conn) bool {
+	return dialed.LocalAddr().String() == accepted.RemoteAddr().String()
 }
 
 // --- pairMux -----------------------------------------------------------------
@@ -1074,7 +1037,9 @@ func (w *muxWriter) appendBeacon(a []byte, mf *muxFrame) ([]byte, error) {
 // Both sides must pick the same winner — if this end kept whichever
 // socket happened to establish first while the far end kept the other,
 // a simultaneous open would leave each side writing into a connection
-// its peer has already abandoned.
+// its peer has already abandoned. The one adopted connection that is not
+// a rival is the far end of the socket dialed here, when both pair ends
+// share this instance.
 func (m *pairMux) ensureConn() (net.Conn, dropReason) {
 	m.mu.Lock()
 	if m.stopped {
@@ -1114,28 +1079,34 @@ func (m *pairMux) ensureConn() (net.Conn, dropReason) {
 		c.Close()
 		return nil, dropClosed
 	}
-	if m.conn != nil { // adopted from the accept side while we dialed
-		if !init.Less(m.connInit) {
+	var old net.Conn
+	if adopted := m.conn; adopted != nil { // adopted from the accept side while we dialed
+		switch {
+		case m.connInit == init && farEndOf(c, adopted):
+			// Both pair ends live in this instance, and the accept side
+			// installed the far end of the socket we just dialed before we
+			// got back here: our own loopback leg (the case adopt sees
+			// from the other side), not a rival. Closing the dialed socket
+			// would kill the one kept; it stays open to be read from, and
+			// writes go on the dialed end as if we had got here first.
+		case init.Less(m.connInit):
+			// This end is the smaller initiator: the far end's adopt keeps
+			// the connection *we* dialed, so the adopted one here is already
+			// abandoned over there. Our dial wins on both sides.
+			old = adopted
+		default:
 			// The adopted connection's initiator wins the simultaneous
-			// open (or it is this instance's own loopback leg): keep it.
-			adopted := m.conn
+			// open: keep it.
 			m.mu.Unlock()
 			c.Close()
 			return adopted, dropNone
 		}
-		// This end is the smaller initiator: the far end's adopt keeps
-		// the connection *we* dialed, so the adopted one here is already
-		// abandoned over there. Our dial wins on both sides.
-		old := m.conn
-		m.conn, m.connInit = c, init
-		m.mu.Unlock()
-		old.Close()
-		t.wg.Add(1)
-		go t.readConn(c, nil, m)
-		return c, dropNone
 	}
 	m.conn, m.connInit = c, init
 	m.mu.Unlock()
+	if old != nil {
+		old.Close()
+	}
 	t.wg.Add(1)
 	go t.readConn(c, nil, m) // the reverse direction rides the same socket
 	return c, dropNone

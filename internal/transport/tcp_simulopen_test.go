@@ -186,3 +186,65 @@ func TestTCPSimultaneousOpenAcceptorWins(t *testing.T) {
 	}
 	raw.Close()
 }
+
+// TestTCPOwnLoopbackLegIsNotARival: with both pair ends in ONE instance,
+// the accept side can adopt the far end of the dialer's own socket inside
+// the dial window. ensureConn used to read that as a simultaneous open it
+// lost and close its dialed socket — the peer of the one it kept — so the
+// pair's first frames went into a dead connection with no drop counted.
+// The hook holds the window open until the adopt has landed, then the
+// first frame must arrive and nothing may be dropped.
+func TestTCPOwnLoopbackLegIsNotARival(t *testing.T) {
+	tr := NewTCP()
+	defer tr.Close()
+	a, b := ids.Named("a"), ids.Named("b")
+	var s sink
+	if err := tr.Register(a, func(ids.ProcID, Message) {}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Register(b, s.handler); err != nil {
+		t.Fatal(err)
+	}
+
+	hookDone := make(chan struct{})
+	tcpPostDialHook = func(init, dialTo ids.ProcID) {
+		tcpPostDialHook = nil
+		defer close(hookDone)
+		tr.mu.RLock()
+		m := tr.pairs[pairOf(a, b)] // the mux whose writer is running this hook
+		tr.mu.RUnlock()
+		deadline := time.Now().Add(5 * time.Second)
+		for time.Now().Before(deadline) {
+			m.mu.Lock()
+			adopted := m.conn != nil && m.connInit == init
+			m.mu.Unlock()
+			if adopted {
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+		t.Error("accept side never adopted the dialed connection's far end")
+	}
+	defer func() { tcpPostDialHook = nil }()
+
+	tr.Send(a, b, Message{MsgID: 1, Payload: fifoPayload{N: 1}})
+	select {
+	case <-hookDone:
+	case <-time.After(10 * time.Second):
+		t.Fatal("ensureConn never reached the dial window")
+	}
+	waitFor(t, 3*time.Second, func() bool { return s.len() == 1 }, "the pair's first frame")
+	if m := s.msg(0); m.MsgID != 1 {
+		t.Fatalf("first delivery = %+v, want MsgID 1", m)
+	}
+	if st := tr.Stats(); st.Dropped() != 0 || st.ConnsOpen != 1 {
+		t.Fatalf("stats after the first frame = %+v, want no drop on one open link", st)
+	}
+	// The reverse direction shares the link and the dialed end.
+	tr.Send(b, a, Message{MsgID: 2, Payload: fifoPayload{N: 2}})
+	tr.Send(a, b, Message{MsgID: 3, Payload: fifoPayload{N: 3}})
+	waitFor(t, 3*time.Second, func() bool { return s.len() == 2 }, "traffic after the first frame")
+	if st := tr.Stats(); st.Dropped() != 0 {
+		t.Fatalf("stats = %+v, want no drop", st)
+	}
+}

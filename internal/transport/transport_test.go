@@ -49,10 +49,25 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, what string) {
 	}
 }
 
+// Test-only wire kinds start at 210: bench_test.go's hb is 200,
+// cmd/gmpbench owns 201–202 and bench/predial.go 250.
+const (
+	kindTestFifo = 210 + iota
+	kindTestBeacon
+	kindTestText
+)
+
 // fifoPayload is a minimal registered payload for ordering tests.
 type fifoPayload struct{ N int }
 
-func init() { RegisterPayload(fifoPayload{}) }
+func init() {
+	RegisterBinaryPayload(kindTestFifo, fifoPayload{},
+		func(e *Encoder, v any) { e.Varint(int64(v.(fifoPayload).N)) },
+		func(d *Decoder) any { return fifoPayload{N: int(d.Varint())} })
+	// Sequenced like any protocol frame, not beacon-classed: the
+	// heartbeat-style test counts every one it sends.
+	RegisterEmptyPayload(kindTestBeacon, beacon{})
+}
 
 // checkFIFO sends n messages on one channel and asserts ordered,
 // exactly-once delivery — the §2.1 channel property every Transport must
@@ -194,7 +209,6 @@ func TestTCPUnregisterDropsThenReconnect(t *testing.T) {
 // TestTCPHeartbeatStyleTraffic mixes protocol payloads with MsgID-0
 // beacons, as the live runtime does.
 func TestTCPHeartbeatStyleTraffic(t *testing.T) {
-	RegisterPayload(beacon{})
 	tr := NewTCP()
 	defer tr.Close()
 	a, b := ids.Named("a"), ids.Named("b")

@@ -108,13 +108,22 @@ func TestUDPOversizeSendCountsTruncated(t *testing.T) {
 	if err := tr.Register(b, s.handler); err != nil {
 		t.Fatal(err)
 	}
-	tr.Send(a, b, Message{MsgID: 1, Payload: gobOnlyPayload{S: strings.Repeat("x", maxDatagram+1)}})
+	tr.Send(a, b, Message{MsgID: 1, Payload: textPayload{S: strings.Repeat("x", maxDatagram+1)}})
 	if got := tr.Stats().Truncated; got != 1 {
 		t.Errorf("Truncated = %d, want 1", got)
 	}
 	if s.len() != 0 {
 		t.Errorf("oversize datagram was delivered")
 	}
+}
+
+// textPayload is as large on the wire as its string.
+type textPayload struct{ S string }
+
+func init() {
+	RegisterBinaryPayload(kindTestText, textPayload{},
+		func(e *Encoder, v any) { e.String(v.(textPayload).S) },
+		func(d *Decoder) any { return textPayload{S: d.String()} })
 }
 
 // TestUDPMisaddressedDatagramDropped is the port-reuse hazard on the
@@ -241,7 +250,7 @@ func TestTwoPlaneRoutesByTrafficClass(t *testing.T) {
 	}
 	tp.Send(a, b, Message{Payload: hb{}})                    // pure beacon → beacon plane
 	tp.Send(a, b, Message{MsgID: 1, Payload: hb{}})          // recorded send → stream plane
-	tp.Send(a, b, Message{MsgID: 2, Payload: fifoPayload{}}) // gob protocol traffic → stream plane
+	tp.Send(a, b, Message{MsgID: 2, Payload: fifoPayload{}}) // protocol traffic → stream plane
 	if got := beacon.count(); got != 1 {
 		t.Errorf("beacon plane carried %d frames, want 1", got)
 	}

@@ -31,7 +31,7 @@ type (
 	// BatchConfig tunes group commit on the broadcast hot path: queued
 	// proposals coalesce into one frame, the sequencer assigns contiguous
 	// slot ranges, and stability piggybacks on the fan-out. MaxEntries ≤ 1
-	// is the unbatched legacy wire.
+	// is the same path with every proposal its own batch of one.
 	BatchConfig = broadcast.BatchConfig
 	// AckConfig coalesces the members' cumulative delivery acks (one ack
 	// per B entries or T window instead of one per entry).
