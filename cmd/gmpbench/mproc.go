@@ -8,9 +8,9 @@
 // stdio, and a merged cross-process trace the GMP checker certifies.
 //
 // The coordinator measures what the n=64 wall is made of: steady-state
-// beacon rate, suspicion frames per exclusion (the digest-vs-relay
-// comparison), exclusion latency, and false suspicions, at n where the
-// single-process harness stops being evidence.
+// beacon rate, suspicion frames per exclusion, exclusion latency, and
+// false suspicions, at n where the single-process harness stops being
+// evidence.
 package main
 
 import (
@@ -43,7 +43,6 @@ var (
 	mprocNs   string
 	mprocHB   time.Duration
 	mprocSA   time.Duration
-	mprocAB   int
 	mprocHier string
 )
 
@@ -51,7 +50,6 @@ func mprocFlags() {
 	flag.StringVar(&mprocNs, "scale-mproc-ns", "", "comma-separated group sizes for the multi-process arms of -exp scale (one OS process per member; empty disables), e.g. 128,256,512")
 	flag.DurationVar(&mprocHB, "scale-mproc-hb", 250*time.Millisecond, "beacon interval of the multi-process arms")
 	flag.DurationVar(&mprocSA, "scale-mproc-sa", 3*time.Second, "suspicion threshold of the multi-process arms")
-	flag.IntVar(&mprocAB, "scale-ab-n", 256, "group size at which the digest-vs-relay A/B baseline arm runs (0 disables; must be one of -scale-mproc-ns)")
 	flag.StringVar(&mprocHier, "scale-hier", "hier:16:3", "hierarchical topology spec for the multi-process arms")
 }
 
@@ -123,7 +121,6 @@ func runMember(args []string) int {
 	hb := fs.Duration("hb", 250*time.Millisecond, "beacon interval")
 	sa := fs.Duration("sa", 3*time.Second, "suspicion threshold")
 	topoSpec := fs.String("topo", "ring:3", "monitoring topology spec")
-	digests := fs.String("digests", "auto", "suspicion dissemination: auto (digests on the beacon plane) or off (relay flood)")
 	tracePath := fs.String("trace", "", "write the member's event trace (JSONL) here at DONE")
 	statsPath := fs.String("stats", "", "write the member's stats (JSON) here at DONE")
 	fs.Parse(args)
@@ -133,10 +130,6 @@ func runMember(args []string) int {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "member:", err)
 		return 1
-	}
-	mode := live.DigestAuto
-	if *digests == "off" {
-		mode = live.DigestOff
 	}
 	selfID := ids.Named(*self)
 	roster := ids.Gen(*n)
@@ -151,7 +144,6 @@ func runMember(args []string) int {
 		SuspectAfter:   *sa,
 		Transport:      transport.NewTwoPlane(tcp, bc),
 		Topology:       topo,
-		Digests:        mode,
 	})
 	defer c.Stop()
 
@@ -292,7 +284,6 @@ func (m *memberProc) read(idx int, views chan<- viewMsg) {
 type mprocArmSpec struct {
 	topoName string
 	topoSpec string
-	digests  string
 }
 
 // runMprocArm spawns one OS process per member, wires their transports,
@@ -302,7 +293,7 @@ type mprocArmSpec struct {
 func runMprocArm(n int, spec mprocArmSpec) (arm scaleArm, err error) {
 	arm = scaleArm{
 		N: n, Topology: spec.topoName, Transport: "twoplane",
-		Mode: "mproc", Digests: spec.digests,
+		Mode:          "mproc",
 		FullMeshConns: n * (n - 1) / 2,
 	}
 	dir, err := os.MkdirTemp("", "gmpbench-mproc-")
@@ -350,7 +341,6 @@ func runMprocArm(n int, spec mprocArmSpec) (arm scaleArm, err error) {
 			"-hb", mprocHB.String(),
 			"-sa", mprocSA.String(),
 			"-topo", spec.topoSpec,
-			"-digests", spec.digests,
 			"-trace", m.tracePath,
 			"-stats", m.statsPath,
 		)
@@ -475,7 +465,7 @@ func runMprocArm(n int, spec mprocArmSpec) (arm scaleArm, err error) {
 					case <-time.After(30 * time.Second):
 					}
 				}
-				saved := filepath.Join(keep, fmt.Sprintf("mproc-%d-%s-%s", n, spec.topoName, spec.digests))
+				saved := filepath.Join(keep, fmt.Sprintf("mproc-%d-%s", n, spec.topoName))
 				os.RemoveAll(saved)
 				if err := os.Rename(dir, saved); err == nil {
 					return arm, fmt.Errorf("survivors did not exclude %s within 180s (traces kept in %s)", victim.Site, saved)
@@ -539,7 +529,7 @@ func runMprocArm(n int, spec mprocArmSpec) (arm scaleArm, err error) {
 	})
 	arm.CheckerOK = rep.OK()
 	if !arm.CheckerOK {
-		fmt.Fprintf(os.Stderr, "mproc arm n=%d %s/%s checker violations:\n%v\n", n, spec.topoName, spec.digests, rep)
+		fmt.Fprintf(os.Stderr, "mproc arm n=%d %s checker violations:\n%v\n", n, spec.topoName, rep)
 	}
 	return arm, nil
 }
@@ -671,56 +661,29 @@ func mprocSizes() []int {
 	return ns
 }
 
-// mprocPerf runs the multi-process arms and appends them (and the
-// digest-vs-relay ratio) to the scale report.
+// mprocPerf runs the multi-process arms and appends them to the scale
+// report.
 func mprocPerf(rep *scaleReport) {
 	sizes := mprocSizes()
 	if len(sizes) == 0 {
 		return
 	}
-	ringName := fmt.Sprintf("ring-%d", scaleK)
-	ringSpec := fmt.Sprintf("ring:%d", scaleK)
-	hierName := strings.ReplaceAll(mprocHier, ":", "-")
 	fmt.Printf("-- multi-process arms: one OS process per member, beacons on UDP, protocol on TCP (GOMAXPROCS=%d) --\n", runtime.GOMAXPROCS(0))
-
-	byKey := map[string]scaleArm{}
+	specs := []mprocArmSpec{
+		{topoName: fmt.Sprintf("ring-%d", scaleK), topoSpec: fmt.Sprintf("ring:%d", scaleK)},
+		{topoName: strings.ReplaceAll(mprocHier, ":", "-"), topoSpec: mprocHier},
+	}
 	for _, n := range sizes {
-		specs := []mprocArmSpec{
-			{topoName: ringName, topoSpec: ringSpec, digests: "auto"},
-			{topoName: hierName, topoSpec: mprocHier, digests: "auto"},
-		}
-		if n == mprocAB {
-			// The A/B baseline: same topology and wire, suspicions on
-			// the relay flood instead of beacon-borne digests.
-			specs = append(specs, mprocArmSpec{topoName: ringName, topoSpec: ringSpec, digests: "off"})
-		}
 		for _, spec := range specs {
 			arm, err := runMprocArm(n, spec)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "mproc arm n=%d %s/%s: %v\n", n, spec.topoName, spec.digests, err)
+				fmt.Fprintf(os.Stderr, "mproc arm n=%d %s: %v\n", n, spec.topoName, err)
 				continue
 			}
 			rep.Arms = append(rep.Arms, arm)
-			byKey[fmt.Sprintf("%d/%s/%s", n, spec.topoName, spec.digests)] = arm
-			fmt.Printf("n=%-4d %-10s digests=%-4s  beacons/s=%-8.0f conns=%-5d excl=%-6.0fms susp-frames=%-5d false=%d GMP=%v\n",
-				arm.N, arm.Topology, arm.Digests, arm.BeaconsPerSec, arm.ConnsOpen,
+			fmt.Printf("n=%-4d %-10s beacons/s=%-8.0f conns=%-5d excl=%-6.0fms susp-frames=%-5d false=%d GMP=%v\n",
+				arm.N, arm.Topology, arm.BeaconsPerSec, arm.ConnsOpen,
 				arm.ExclMs, arm.SuspicionFrames, arm.FalseSuspects, arm.CheckerOK)
 		}
-	}
-	for _, n := range sizes {
-		digest, okD := byKey[fmt.Sprintf("%d/%s/auto", n, ringName)]
-		relay, okR := byKey[fmt.Sprintf("%d/%s/off", n, ringName)]
-		if !okD || !okR || digest.SuspicionFrames == 0 {
-			continue
-		}
-		r := digestRatio{
-			N: n, Topology: ringName,
-			RelayFrames:  relay.SuspicionFrames,
-			DigestFrames: digest.SuspicionFrames,
-			Ratio:        float64(relay.SuspicionFrames) / float64(digest.SuspicionFrames),
-		}
-		rep.DigestRatios = append(rep.DigestRatios, r)
-		fmt.Printf("n=%-4d %s: suspicion frames per exclusion — relay %d vs digest %d (%.1f× fewer)\n",
-			n, ringName, r.RelayFrames, r.DigestFrames, r.Ratio)
 	}
 }

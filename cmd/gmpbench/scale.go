@@ -73,12 +73,9 @@ type scaleArm struct {
 	// goroutine nodes, one Go scheduler), "mproc" is one OS process per
 	// member over real sockets (E19).
 	Mode string `json:"mode,omitempty"`
-	// Digests records the dissemination arm: "auto" (beacon-borne
-	// digests) or "off" (relay flood). Empty on pre-digest arms.
-	Digests string `json:"digests,omitempty"`
 	// SuspicionFrames counts the wire frames spent disseminating the
 	// run's one exclusion (transport.Stats.SuspicionFrames summed over
-	// the group) — the digest-vs-relay comparison's metric.
+	// the group).
 	SuspicionFrames int64 `json:"suspicion_frames,omitempty"`
 
 	BeaconsPerSec float64 `json:"beacons_per_sec"`
@@ -100,16 +97,6 @@ type scaleRatio struct {
 	ConnRatio   float64 `json:"conn_ratio_full_over_ring,omitempty"`
 }
 
-// digestRatio is the per-n digest-vs-relay suspicion-frame comparison,
-// measured on otherwise identical multi-process arms.
-type digestRatio struct {
-	N            int     `json:"n"`
-	Topology     string  `json:"topology"`
-	RelayFrames  int64   `json:"relay_frames"`
-	DigestFrames int64   `json:"digest_frames"`
-	Ratio        float64 `json:"relay_over_digest"`
-}
-
 // scaleReport is the BENCH_scale.json schema.
 type scaleReport struct {
 	GeneratedBy    string   `json:"generated_by"`
@@ -121,11 +108,10 @@ type scaleReport struct {
 	// MprocHeartbeatMs/MprocSuspectAfterMs are the (slower) cadence of
 	// the multi-process arms, sized so hundreds of OS processes on a
 	// small host keep zero false suspicions.
-	MprocHeartbeatMs    float64       `json:"mproc_heartbeat_ms,omitempty"`
-	MprocSuspectAfterMs float64       `json:"mproc_suspect_after_ms,omitempty"`
-	Arms                []scaleArm    `json:"arms"`
-	Ratios              []scaleRatio  `json:"ratios"`
-	DigestRatios        []digestRatio `json:"digest_ratios,omitempty"`
+	MprocHeartbeatMs    float64      `json:"mproc_heartbeat_ms,omitempty"`
+	MprocSuspectAfterMs float64      `json:"mproc_suspect_after_ms,omitempty"`
+	Arms                []scaleArm   `json:"arms"`
+	Ratios              []scaleRatio `json:"ratios"`
 }
 
 func scaleSizes() []int {
@@ -182,7 +168,7 @@ func runScaleArm(n int, topoName string, topo topology.Topology, transportName s
 
 	// Exclusion: kill the most junior member that is not the
 	// coordinator, so the sample measures the two-phase path (under
-	// RingK: monitor detection → GMP-5 report/relay → round).
+	// RingK: monitor detection → GMP-5 report → round).
 	v, err := c.WaitConverged(10 * time.Second)
 	if err != nil {
 		return arm, fmt.Errorf("pre-kill: %w", err)
@@ -289,8 +275,8 @@ func scalePerf(int64) {
 		}
 	}
 	fmt.Println("note: F1 only needs every faulty process eventually suspected by SOME live member;")
-	fmt.Println("      ring-k supplies that with O(n·k) beacons and sockets, and the suspicion-relay")
-	fmt.Println("      path carries a monitor's faulty_p(q) to the coordinator it doesn't monitor.")
+	fmt.Println("      ring-k supplies that with O(n·k) beacons and sockets, and suspicion digests")
+	fmt.Println("      riding the beacons carry a monitor's faulty_p(q) to members that don't monitor q.")
 
 	if len(mprocSizes()) > 0 {
 		rep.MprocHeartbeatMs = float64(mprocHB) / float64(time.Millisecond)

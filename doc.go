@@ -42,8 +42,8 @@
 //     (NewFullTopology, the default) or ring-k (NewRingTopology), where
 //     each member watches only its k rank-successors — F1 never required
 //     all-to-all observation, so beacon traffic and TCP connection count
-//     drop from O(n²) to O(n·k), with suspicions relayed around the ring
-//     to whoever needs them (DESIGN.md §8).
+//     drop from O(n²) to O(n·k), with suspicions spread around the ring
+//     in digests riding the beacons (DESIGN.md §8).
 //
 // See README.md for a quickstart, DESIGN.md for the system inventory and
 // EXPERIMENTS.md for the paper-versus-measured record of every table and

@@ -37,53 +37,32 @@ type LevelRecorder interface {
 	RecordLevel(k event.Kind, other ids.ProcID, level float64)
 }
 
-// SuspicionRelayer is an optional Env extension for partial monitoring
+// SuspicionGossiper is an optional Env extension for partial monitoring
 // topologies. Under all-to-all monitoring every process observes every
 // failure itself, so F2 gossip plus the GMP-5 report to the coordinator
 // disseminate everything that matters. Under a partial topology (e.g.
 // ring-k) a failure is observed only by the suspect's few monitors — and
 // when the suspect is the coordinator itself, reportSuspicions has nowhere
-// to report. Environments that monitor partially implement RelayPeers, and
-// the node then forwards every point-to-point-learned suspicion (its own
-// detector's, or one received in a FaultyReport) to the returned peers as
-// additional FaultyReport gossip. Relays hop the topology: each receiver
-// adopts the belief and relays onward to its own peers, so a suspicion
-// floods the live remainder of the topology and reaches the coordinator —
-// or, when the coordinator is the suspect, the member next in rank —
-// within a bounded O(n·k) messages (each node relays each suspect to at
-// most its peer set, once).
-//
-// Suspicions learned from broadcast gossip (Commit/Propose/ReconfCommit
-// contingencies, an initiator's inferable HiFaulty) are never relayed:
-// the broadcast already reached everyone the relay could.
-type SuspicionRelayer interface {
-	// RelayPeers returns the peers to forward fresh suspicions to, given
-	// the view members the node does not currently believe faulty, in
-	// seniority order (self included). Environments whose topology is
-	// effectively all-to-all return nil.
-	RelayPeers(unsuspected []ids.ProcID) []ids.ProcID
-}
-
-// SuspicionGossiper is an optional Env extension that supersedes the
-// point-to-point relay flood with batched suspicion digests. Where the
-// SuspicionRelayer turns each fresh suspicion into one FaultyReport per
-// topology peer (O(deg) extra frames per suspicion per hop), a gossiping
-// environment batches every pending suspicion into a compact digest that
-// piggybacks on the beacons it already sends — disseminating f suspicions
-// costs digest *entries* on frames that were crossing the wire anyway.
+// to report. A gossiping environment batches every pending suspicion into
+// a compact digest riding the beacons it already sends, so disseminating
+// f suspicions costs digest *entries* on frames that were crossing the
+// wire anyway.
 //
 // When GossipActive reports true, the node hands each point-to-point-
 // learned suspicion (its own detector's, a FaultyReport's, a surmise) to
-// GossipSuspicion instead of the relay set, and suspicions learned *from*
-// a digest (Node.GossipSuspectWithLevel) are treated like broadcast gossip
-// — adopted and re-gossiped, but not re-reported to the coordinator,
-// because the digest flood reaches the coordinator too. The environment
-// may report GossipActive false at any time (no beacon plane, all-to-all
-// monitoring); the node then falls back to the relay unchanged, so the
-// §7.2 message-count pins stand wherever digests are off.
+// GossipSuspicion, and suspicions learned *from* a digest
+// (Node.GossipSuspectWithLevel) are treated like broadcast gossip —
+// adopted and re-gossiped, but not re-reported to the coordinator,
+// because the digest flood reaches the coordinator too. Suspicions
+// learned from broadcast gossip (Commit/Propose/ReconfCommit
+// contingencies, an initiator's inferable HiFaulty) are never gossiped:
+// the broadcast already reached everyone a digest could. Environments
+// without the extension (the simulator) or reporting GossipActive false
+// (all-to-all monitoring) disseminate nothing beyond the protocol's own
+// messages, so the §7.2 message-count pins stand there.
 type SuspicionGossiper interface {
-	// GossipActive reports whether digest dissemination currently
-	// applies. Consulted per suspicion, so an environment may flip modes
+	// GossipActive reports whether the current view's monitoring is
+	// partial. Consulted per suspicion, so an environment may flip it
 	// between views.
 	GossipActive() bool
 	// GossipSuspicion hands a point-to-point-learned suspicion to the

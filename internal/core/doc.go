@@ -15,11 +15,9 @@
 // suspicion inputs, and timers.
 //
 // Under a partial monitoring topology the node also disseminates its
-// point-to-point-learned suspicions: through the environment's
-// SuspicionGossiper (batched digests riding the beacon plane,
-// re-disseminated on absorb via GossipSuspectWithLevel) when gossip is
-// active, else by relaying FaultyReport frames to its topology peers
-// (SuspicionRelayer), with per-(suspect, peer) dedup pruned at every
-// install. The one latency-critical hop — the expected initiator
-// learning the coordinator is dead — always stays point-to-point.
+// point-to-point-learned suspicions through the environment's
+// SuspicionGossiper (batched digests riding the beacons, re-disseminated
+// on absorb via GossipSuspectWithLevel). The one latency-critical hop —
+// the expected initiator learning the coordinator is dead — stays a
+// point-to-point FaultyReport.
 package core

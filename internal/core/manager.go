@@ -180,9 +180,8 @@ func (n *Node) sendStateTransfer(joiner ids.ProcID, next member.Op, nextVer memb
 // it sent the report, so we adopt the belief; if we are the coordinator
 // this enqueues the exclusion (GMP-5). A report is point-to-point
 // knowledge, so under a partial monitoring topology the adopted suspicion
-// is relayed onward — this hop-by-hop forwarding is what carries a
-// monitor's observation around the topology to processes that do not
-// monitor the suspect themselves.
+// is gossiped onward in digests, to processes that do not monitor the
+// suspect themselves.
 func (n *Node) handleFaultyReport(from ids.ProcID, m FaultyReport) {
 	if n.applyFaulty(m.Suspect) {
 		n.disseminate(m.Suspect, 0)

@@ -43,15 +43,6 @@ type Node struct {
 	reported  ids.Set
 	sponsored ids.Set
 
-	// relayable holds the suspects whose faulty_p(q) this node learned
-	// point-to-point (its own detector, a FaultyReport, or a Table 1
-	// surmise) and must therefore re-disseminate under a partial
-	// monitoring topology; relayed tracks, per suspect, the peers
-	// already sent the relay, so the flood terminates. Both are unused
-	// (and empty) when the Env is not a SuspicionRelayer.
-	relayable ids.Set
-	relayed   map[ids.ProcID]ids.Set
-
 	// Coordinator role.
 	round            *updateRound
 	everReconfigured bool
@@ -129,8 +120,6 @@ func New(id ids.ProcID, env Env, cfg Config) *Node {
 		recovered: ids.NewSet(),
 		reported:  ids.NewSet(),
 		sponsored: ids.NewSet(),
-		relayable: ids.NewSet(),
-		relayed:   make(map[ids.ProcID]ids.Set),
 	}
 }
 
@@ -233,9 +222,8 @@ func (n *Node) SuspectWithLevel(q ids.ProcID, level float64) {
 		return
 	}
 	// A detector-sourced suspicion is point-to-point knowledge: under a
-	// partial topology nobody else may have observed it, so it must be
-	// disseminated (reportSuspicions relays; a gossiping environment
-	// batches it into digests instead).
+	// partial topology nobody else may have observed it, so a gossiping
+	// environment batches it into digests.
 	n.disseminate(q, level)
 	// GMP-5: ask the coordinator to start the removal algorithm — unless
 	// the coordinator itself is the suspect (reconfiguration handles it).
@@ -261,15 +249,12 @@ func (n *Node) GossipSuspectWithLevel(q ids.ProcID, level float64) {
 	n.step()
 }
 
-// disseminate spreads one point-to-point-learned suspicion: into the
-// environment's digest batch when digest gossip is active, else into the
-// relay set that reportSuspicions floods peer by peer.
+// disseminate spreads one point-to-point-learned suspicion into the
+// environment's digest batch when digest gossip is active.
 func (n *Node) disseminate(q ids.ProcID, level float64) {
 	if g, ok := n.env.(SuspicionGossiper); ok && g.GossipActive() {
 		g.GossipSuspicion(q, level)
-		return
 	}
-	n.relayable.Add(q)
 }
 
 // applyFaulty records faulty_p(q) with no detector grade behind it (F2
@@ -317,13 +302,8 @@ func (n *Node) applyOperating(q ids.ProcID) {
 
 // reportSuspicions forwards unreported suspicions and unsponsored pending
 // joiners to the coordinator (GMP-5 and its recovery analogue). Reports are
-// re-sent to a new coordinator after reconfiguration. Under a partial
-// monitoring topology it also relays fresh point-to-point suspicions to
-// the topology peers — crucially *before* the coordinator gate below,
-// because a suspected coordinator is exactly the case where the relay is
-// the only dissemination path left.
+// re-sent to a new coordinator after reconfiguration.
 func (n *Node) reportSuspicions() {
-	n.relaySuspicions()
 	if n.mgr == n.id || n.isolated.Has(n.mgr) {
 		// Digest dissemination travels at beacon cadence along monitor
 		// edges, which is the wrong speed for the one latency-critical
@@ -358,53 +338,6 @@ func (n *Node) reportSuspicions() {
 		}
 		n.sponsored.Add(j)
 		n.env.Send(n.mgr, JoinRequest{Joiner: j})
-	}
-}
-
-// relaySuspicions floods fresh point-to-point suspicions to the peers the
-// environment's monitoring topology designates (SuspicionRelayer). Each
-// (suspect, peer) pair is relayed at most once; peers are recomputed from
-// the members this node still believes operational, so the flood routes
-// around the suspects themselves (a ring re-closes over its live
-// remainder). A no-op for environments without a relayer — the simulator,
-// and live groups monitoring all-to-all.
-func (n *Node) relaySuspicions() {
-	if n.relayable.Len() == 0 || n.view == nil {
-		return
-	}
-	r, ok := n.env.(SuspicionRelayer)
-	if !ok {
-		return
-	}
-	var unsuspected []ids.ProcID
-	for _, m := range n.view.Members() {
-		if !n.isolated.Has(m) {
-			unsuspected = append(unsuspected, m)
-		}
-	}
-	peers := r.RelayPeers(unsuspected)
-	if len(peers) == 0 {
-		return
-	}
-	for _, q := range n.relayable.Sorted() {
-		if !n.view.Has(q) {
-			continue
-		}
-		for _, t := range peers {
-			if t == n.id || t == q || !n.view.Has(t) || n.isolated.Has(t) {
-				continue
-			}
-			sent := n.relayed[q]
-			if sent == nil {
-				sent = ids.NewSet()
-				n.relayed[q] = sent
-			}
-			if sent.Has(t) {
-				continue
-			}
-			sent.Add(t)
-			n.env.Send(t, FaultyReport{Suspect: q})
-		}
 	}
 }
 
@@ -512,8 +445,6 @@ func (n *Node) install(ops member.Seq) error {
 		switch op.Kind {
 		case member.OpRemove:
 			n.faulty.Remove(op.Target)
-			n.relayable.Remove(op.Target)
-			delete(n.relayed, op.Target)
 			n.env.Record(event.Remove, op.Target)
 		case member.OpAdd:
 			n.recovered.Remove(op.Target)
@@ -527,27 +458,6 @@ func (n *Node) install(ops member.Seq) error {
 		}
 	}
 	if len(ops) > 0 {
-		// Re-intersect the relay dedup map with the installed view: the
-		// per-op removal above only covers the suspects themselves, while
-		// the per-suspect target sets keep ids of members removed by
-		// *other* operations — across many reconfigurations that is a
-		// slow, monotonic leak. Targets outside the view can never be
-		// relayed to again (relaySuspicions checks view membership), so
-		// dropping them is pure garbage collection.
-		for q, sent := range n.relayed {
-			if !n.view.Has(q) {
-				delete(n.relayed, q)
-				continue
-			}
-			for _, t := range sent.Sorted() {
-				if !n.view.Has(t) {
-					sent.Remove(t)
-				}
-			}
-			if sent.Len() == 0 {
-				delete(n.relayed, q)
-			}
-		}
 		n.env.RecordInstall(n.view.Version(), n.view.Members())
 	}
 	return nil
@@ -713,7 +623,7 @@ func (n *Node) disarmAwaitTimer() {
 // awaitFired resolves a wedged await: every member whose response is
 // still outstanding is surmised faulty — this node's own F1 input for
 // members it does not monitor, exactly as legal as any other wrong
-// detection (§2.2). The surmise is relayed like a detector suspicion so
+// detection (§2.2). The surmise is gossiped like a detector suspicion so
 // the rest of a partial topology learns it too.
 func (n *Node) awaitFired(gen int) {
 	if !n.alive || gen != n.awaitGen || n.view == nil {

@@ -15,15 +15,15 @@ import (
 	"procgroup/internal/member"
 )
 
-// govEnv is relayEnv's shape plus a switchable admission verdict.
+// govEnv is plainEnv's shape plus a switchable admission verdict.
 type govEnv struct {
-	bus   *relayBus
+	bus   *gossipBus
 	id    ids.ProcID
 	admit func(q ids.ProcID) bool
 }
 
 func (e *govEnv) Send(to ids.ProcID, payload any) {
-	e.bus.queue = append(e.bus.queue, relayMsg{e.id, to, payload})
+	e.bus.queue = append(e.bus.queue, busMsg{e.id, to, payload})
 }
 func (e *govEnv) After(int64, func()) (cancel func())        { return func() {} }
 func (e *govEnv) Quit()                                      { e.bus.dead.Add(e.id) }
@@ -33,7 +33,7 @@ func (e *govEnv) AdmitJoiner(q ids.ProcID) bool              { return e.admit(q)
 
 func TestReadmissionGovernorDefersThenAdmits(t *testing.T) {
 	procs := ids.Gen(3)
-	bus := &relayBus{nodes: make(map[ids.ProcID]*core.Node), dead: ids.NewSet()}
+	bus := newGossipBus()
 	allowed := false
 	admit := func(ids.ProcID) bool { return allowed }
 	cfg := core.Config{Compression: true, MajorityCheck: true}

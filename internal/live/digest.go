@@ -16,15 +16,14 @@ type DigestEntry struct {
 	Level   float64
 }
 
-// SuspicionDigest batches pending suspicions onto a beacon slot. Under
-// digest dissemination (beacon plane + partial topology) a node with
-// pending suspicions replaces the pure heartbeats it owes its monitors
-// with digests: the frame still proves the sender alive (receivers feed
-// it to the detector exactly like a Heartbeat), and the entries carry
-// every suspicion the sender has not yet shown that monitor. Each entry
-// travels each beacon edge at most once, so disseminating f suspicions
-// costs O(n·k) digest entries on frames the wheel was sending anyway —
-// against the relay flood's O(n·deg) dedicated FaultyReport frames.
+// SuspicionDigest batches pending suspicions onto a beacon slot. Under a
+// partial topology a node with pending suspicions replaces the pure
+// heartbeats it owes its monitors with digests: the frame still proves
+// the sender alive (receivers feed it to the detector exactly like a
+// Heartbeat), and the entries carry every suspicion the sender has not
+// yet shown that monitor. Each entry travels each beacon edge at most
+// once, so disseminating f suspicions costs O(n·k) digest entries on
+// frames the wheel was sending anyway.
 type SuspicionDigest struct {
 	Entries []DigestEntry
 }
@@ -79,8 +78,7 @@ func init() {
 
 // digestPending is one suspicion waiting to ride this node's beacons:
 // its level, and the beacon targets it has already been shown (each
-// beacon edge carries an entry at most once — the digest analogue of the
-// relay's per-(suspect, target) dedup).
+// beacon edge carries an entry at most once).
 type digestPending struct {
 	level float64
 	sent  ids.Set

@@ -14,9 +14,9 @@
 // (Options.Topology; internal/topology): beacons go to the members that
 // watch this node, detector state exists only for the members this node
 // watches, both recomputed at every view installation — all-to-all by
-// default, O(k) per node under ring-k. Beacons coalesce: a protocol send
-// doubles as a beacon, so a pure Heartbeat goes out only on channels
-// silent for a full interval.
+// default, O(k) per node under ring-k. Beacons are cadence-pure on every
+// transport: each pass sends one beacon-class frame to every member that
+// watches this node, whatever protocol traffic went out in between.
 // Suspicion policy is delegated to an fd.Detector chosen per group
 // through Options.Detector — the fixed SuspectAfter timeout by default,
 // the adaptive φ-accrual detector as the alternative — and the detector's
@@ -27,13 +27,16 @@
 // since its evidence of their silence is indistinguishable from its own
 // absence.
 //
-// Under a partial topology with a beacon plane, point-to-point-learned
-// suspicions disseminate as SuspicionDigest batches riding the beacons
-// themselves (Options.Digests; DESIGN.md §10): a pending digest replaces
-// that interval's heartbeat on each beacon edge, per-edge sent-sets and
-// a per-view absorb dedup bound the flood to one crossing per monitoring
-// edge, and DigestOff (or a plane-less transport) falls back to the
-// point-to-point relay. Options.Self/Roster boot a single-member cluster
+// Under a partial topology, point-to-point-learned suspicions disseminate
+// as SuspicionDigest batches riding the beacons themselves (DESIGN.md
+// §10), on any transport: a pending digest replaces that interval's
+// heartbeat on each beacon edge, and per-edge sent-sets and a per-view
+// absorb dedup bound the flood to one crossing per monitoring edge.
+// Digests travel only along beacon edges, toward each node's monitors:
+// the heir learning the coordinator is dead stays a point-to-point
+// FaultyReport, and a suspicion whose only route to the coordinator is a
+// broken link is covered by core.Config.AwaitWait. Options.Self/Roster
+// boot a single-member cluster
 // for multi-process deployments — one OS process per member, wired by
 // address exchange and bootstrapped by BootstrapSelf (E19's harness).
 //

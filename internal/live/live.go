@@ -69,16 +69,14 @@ type Options struct {
 	// installed view. Nil selects topology.Full, the all-to-all seed
 	// behavior; topology.RingK monitors k rank-successors, cutting
 	// beacon traffic and (on socket transports) connection count from
-	// O(n²) to O(n·k) while the core suspicion-relay path preserves
-	// F1's eventual-suspicion contract. The same Topology value is
-	// shared by every node (implementations are stateless).
+	// O(n²) to O(n·k) while suspicion digests riding the beacons
+	// preserve F1's eventual-suspicion contract. The same Topology value
+	// is shared by every node (implementations are stateless).
 	Topology topology.Topology
 	// UpdateBuffer sizes the installed-view stream (default 1024).
 	// When subscribers fall behind, installs are dropped and counted on
 	// Dropped rather than wedging the protocol.
 	UpdateBuffer int
-	// Digests selects suspicion-digest dissemination (see DigestMode).
-	Digests DigestMode
 	// Readmit rate-limits readmission of recently excluded sites (see
 	// ReadmitPolicy): the coordinator defers a rejoining incarnation
 	// whose site has exhausted its token bucket, so a flapping node
@@ -103,23 +101,6 @@ type Options struct {
 	Roster []ids.ProcID
 }
 
-// DigestMode selects how point-to-point-learned suspicions disseminate
-// under a partial monitoring topology.
-type DigestMode int
-
-const (
-	// DigestAuto (the default) batches suspicions into SuspicionDigest
-	// beacons whenever the substrate has a dedicated beacon plane
-	// (transport.BeaconPlaner) and the topology is partial — the two
-	// conditions under which digests are strictly cheaper than the relay
-	// flood. Everywhere else (stream-only transports, full monitoring)
-	// the point-to-point relay runs unchanged.
-	DigestAuto DigestMode = iota
-	// DigestOff forces the point-to-point relay even where digests would
-	// apply — the A/B baseline the scale experiment compares against.
-	DigestOff
-)
-
 // ViewUpdate is one installed view, published to subscribers.
 type ViewUpdate struct {
 	Proc    ids.ProcID
@@ -132,17 +113,6 @@ type Cluster struct {
 	opts Options
 	rec  *trace.Recorder
 	tr   transport.Transport
-	// planed records whether the substrate carries beacons on a
-	// dedicated plane (transport.BeaconPlaner). With a plane, beacons
-	// are emitted cadence-pure — every wheel pass, no piggyback
-	// suppression — because a planed beacon costs one datagram, cannot
-	// queue behind protocol traffic, and every emission is one clean
-	// inter-arrival sample for the peer's detector.
-	planed bool
-	// digests records whether suspicion-digest dissemination may run
-	// (Options.Digests resolved against the transport); each node still
-	// gates on its own view's topology being partial (liveNode.gossip).
-	digests bool
 
 	dropped atomic.Int64 // installs lost to a full updates stream
 	// readmitDeferred counts joins the readmission governor deferred
@@ -178,31 +148,25 @@ type liveNode struct {
 	// every install — O(k) under a partial topology instead of the O(n)
 	// all-peers the pre-topology wheel tracked. For topology.Full every
 	// member is both beaconed and watched and the wheel is the view
-	// minus self in view order: the seed behavior exactly, interleaving
-	// included (TestFullBeaconScheduleMatchesPreTopologyWheel).
-	watch     []ids.ProcID
-	beaconTo  []ids.ProcID
-	wheel     []wheelEntry
-	watchSet  ids.Set
-	beaconSet ids.Set
-	// relayPartial records whether this node's monitoring is partial
-	// (it does not watch every peer): only then are point-to-point
-	// suspicions relayed (core.SuspicionRelayer), because under full
-	// monitoring every process observes every failure itself.
-	relayPartial bool
-	// gossip is the digest-dissemination gate for the current view:
-	// Cluster.digests (beacon plane present, mode not DigestOff) AND the
-	// topology is partial here. Recomputed per install like the wheel.
-	// digestOut holds suspicions waiting to ride this node's beacons and
-	// digestSeen the suspects already absorbed or queued (echo dedup);
-	// both are loop-owned and pruned against each installed view.
-	gossip     bool
+	// minus self in view order.
+	watch    []ids.ProcID
+	beaconTo []ids.ProcID
+	wheel    []wheelEntry
+	watchSet ids.Set
+	// partial records whether this node's monitoring is partial (it does
+	// not watch every peer): only then do point-to-point suspicions ride
+	// the beacons as digests (core.SuspicionGossiper), because under full
+	// monitoring every process observes every failure itself. Recomputed
+	// per install like the wheel. digestOut holds suspicions waiting to
+	// ride this node's beacons and digestSeen the suspects already
+	// absorbed or queued (echo dedup); both are loop-owned and pruned
+	// against each installed view.
+	partial    bool
 	digestOut  map[ids.ProcID]*digestPending
 	digestSeen ids.Set
-	det        fd.Detector              // failure-detection policy (F1 input)
-	lastSent   map[ids.ProcID]time.Time // last frame sent per peer (beacon piggybacking)
-	lastBeat   time.Time                // previous liveness-wheel pass (stall guard)
-	app        AppHook                  // application layer (Options.App), nil when unset
+	det        fd.Detector // failure-detection policy (F1 input)
+	lastBeat   time.Time   // previous liveness-wheel pass (stall guard)
+	app        AppHook     // application layer (Options.App), nil when unset
 	// gov is the readmission governor (nil when Options.Readmit is zero)
 	// and govWakeArmed whether a deferred-join recheck timer is pending;
 	// both loop-owned.
@@ -217,11 +181,8 @@ type wheelEntry struct {
 	watch  bool // this node monitors m (detector state + suspicion)
 }
 
-// buildWheel merges beaconTo and watch into the view's member order: the
-// per-pass walk keeps the pre-topology wheel's beacon-then-suspect
-// interleaving per member, which matters because a suspicion raised
-// mid-pass can trigger protocol sends that suppress later pure beacons in
-// the same pass.
+// buildWheel merges beaconTo and watch into the view's member order, so
+// one pass walks each member once: beacon first, then suspicion.
 func buildWheel(members []ids.ProcID, self ids.ProcID, beaconTo, watch []ids.ProcID) []wheelEntry {
 	beacons, watches := ids.NewSet(beaconTo...), ids.NewSet(watch...)
 	wheel := make([]wheelEntry, 0, len(beaconTo)+len(watch))
@@ -263,12 +224,9 @@ func Start(opts Options) *Cluster {
 	}
 	cfg := nodeConfig(opts)
 
-	_, planed := opts.Transport.(transport.BeaconPlaner)
 	c := &Cluster{
 		opts:      opts,
 		tr:        opts.Transport,
-		planed:    planed,
-		digests:   planed && opts.Digests != DigestOff,
 		nodes:     make(map[ids.ProcID]*liveNode, opts.N),
 		updates:   make(chan ViewUpdate, opts.UpdateBuffer),
 		installed: make(chan struct{}, 1),
@@ -351,7 +309,6 @@ func (c *Cluster) spawnLocked(p ids.ProcID, cfg core.Config) *liveNode {
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
 		det:        c.opts.Detector(),
-		lastSent:   make(map[ids.ProcID]time.Time),
 		digestOut:  make(map[ids.ProcID]*digestPending),
 		digestSeen: ids.NewSet(),
 		gov:        newReadmitGov(c.opts.Readmit),
@@ -457,25 +414,12 @@ func (ln *liveNode) dispatch(e envelope) {
 
 // observes reports whether traffic from q should feed this node's
 // detector. Under a partial topology only watched members do — otherwise
-// every coordinator commit or relayed report from a non-neighbor would
+// every coordinator commit or FaultyReport from a non-neighbor would
 // regrow the detector's per-peer state (an accrual window each) back to
 // O(n) between installs, the exact scaling the topology exists to cap.
 // Under full monitoring every sender feeds it, the seed behavior.
 func (ln *liveNode) observes(q ids.ProcID) bool {
-	return !ln.relayPartial || ln.watchSet.Has(q)
-}
-
-// beaconDue reports whether the channel to m is owed a pure beacon at
-// now, updating lastSent when it is. This is the beacon-scheduling
-// decision of the pre-topology wheel extracted verbatim (same silence
-// test — piggybacked traffic within the last interval suppresses the
-// beacon — and the same lastSent refresh).
-func beaconDue(m ids.ProcID, lastSent map[ids.ProcID]time.Time, now time.Time, every time.Duration) bool {
-	if sent, ok := lastSent[m]; !ok || now.Sub(sent) >= every {
-		lastSent[m] = now
-		return true
-	}
-	return false
+	return !ln.partial || ln.watchSet.Has(q)
 }
 
 // beat is one pass of the node's liveness wheel: a single per-node ticker
@@ -483,13 +427,13 @@ func beaconDue(m ids.ProcID, lastSent map[ids.ProcID]time.Time, now time.Time, e
 // are no per-peer timers. Beacons go to the members that monitor this
 // node (beaconTo); detector state is kept, and suspicion raised, only for
 // the members this node monitors (watch) — both O(k) under a partial
-// topology. Heartbeats piggyback on protocol traffic: any frame sent to a
-// peer within the last beacon interval already proved this node alive (a
-// send IS a beacon, and every receive feeds the detector on the far
-// side), so a pure beacon goes out only on channels that have been
-// silent. Suspicion is delegated to the pluggable detector (F1, §2.2):
-// members it declares silent are suspected, with its graded suspicion
-// level recorded on the Faulty trace event.
+// topology. Beacons are cadence-pure on every transport: each pass sends
+// exactly one beacon-class frame per beaconTo member, whatever protocol
+// traffic went out in between, so every emission is one clean
+// inter-arrival sample for the peer's detector. Suspicion is delegated to
+// the pluggable detector (F1, §2.2): members it declares silent are
+// suspected, with its graded suspicion level recorded on the Faulty trace
+// event.
 func (ln *liveNode) beat() {
 	now := time.Now()
 	// Stall guard: every node of a cluster shares one OS process, so a
@@ -519,24 +463,16 @@ func (ln *liveNode) beat() {
 		return
 	}
 	for _, e := range ln.wheel {
-		// On a dedicated beacon plane the piggyback suppression is
-		// skipped: suppressing a cadence-pure datagram saves nothing and
-		// costs the peer's detector its cleanest sample.
 		if e.beacon {
-			sent := false
-			// Digest dissemination: pending suspicions ride this beacon
-			// slot instead of a pure heartbeat. The digest is liveness
+			// Pending suspicions ride this beacon slot as a digest
+			// instead of a pure heartbeat. The digest is liveness
 			// evidence too (receivers feed it to the detector), so the
 			// substitution costs the detector nothing.
-			if ln.gossip && len(ln.digestOut) > 0 {
-				if entries := ln.pendingFor(e.m); len(entries) > 0 {
-					ln.c.post(ln.id, e.m, 0, SuspicionDigest{Entries: entries})
-					sent = true
-				}
+			var beacon any = Heartbeat{}
+			if entries := ln.pendingFor(e.m); len(entries) > 0 {
+				beacon = SuspicionDigest{Entries: entries}
 			}
-			if !sent && (ln.c.planed || beaconDue(e.m, ln.lastSent, now, ln.c.opts.HeartbeatEvery)) {
-				ln.c.post(ln.id, e.m, 0, Heartbeat{})
-			}
+			ln.c.post(ln.id, e.m, 0, beacon)
 		}
 		if !e.watch {
 			continue
@@ -567,13 +503,6 @@ func (e *liveEnv) Send(to ids.ProcID, payload any) {
 	ln := (*liveNode)(e)
 	id := msgID(ln.c)
 	ln.c.rec.RecordSend(ln.id, to, id, labelOf(payload))
-	// A protocol send doubles as a beacon — but only channels the wheel
-	// beacons on need the suppression state; under a partial topology,
-	// stamping every recipient would regrow lastSent to O(n). With a
-	// dedicated beacon plane there is no suppression, so no state.
-	if !ln.c.planed && (!ln.relayPartial || ln.beaconSet.Has(to)) {
-		ln.lastSent[to] = time.Now()
-	}
 	ln.c.post(ln.id, to, id, payload)
 }
 
@@ -622,29 +551,13 @@ func (e *liveEnv) Record(k event.Kind, other ids.ProcID) {
 	ln.c.rec.RecordInternal(ln.id, k, other)
 }
 
-// RelayPeers implements core.SuspicionRelayer: under a partial monitoring
-// topology, fresh point-to-point suspicions are relayed to the members
-// this node monitors among those it still believes operational — the
-// topology re-closed over the unsuspected remainder, so the relay routes
-// around the suspects themselves. Under full monitoring (topology.Full,
-// or RingK's k ≥ n−1 degenerate case) it returns nil and the runtime
-// behaves exactly as it did before topologies existed.
-func (e *liveEnv) RelayPeers(unsuspected []ids.ProcID) []ids.ProcID {
-	ln := (*liveNode)(e)
-	if !ln.relayPartial {
-		return nil
-	}
-	return ln.c.opts.Topology.Monitors(unsuspected, ln.id)
-}
-
 // GossipActive implements core.SuspicionGossiper: digest dissemination is
-// on when the cluster enables it (beacon plane present, not forced off)
-// AND this node's current view is under a partial topology — under full
-// monitoring every member suspects first-hand and digests would only add
-// frames. All loop-owned.
+// on when this node's current view is under a partial topology — under
+// full monitoring (topology.Full, or RingK's k ≥ n−1 degenerate case)
+// every member suspects first-hand and digests would only add entries.
+// Loop-owned.
 func (e *liveEnv) GossipActive() bool {
-	ln := (*liveNode)(e)
-	return ln.gossip
+	return (*liveNode)(e).partial
 }
 
 // GossipSuspicion implements core.SuspicionGossiper: the suspicion joins
@@ -695,17 +608,14 @@ func (e *liveEnv) RecordInstall(ver member.Version, members []ids.ProcID) {
 	// Refresh the liveness wheel from the monitoring topology
 	// (loop-owned): recomputing on every install is what re-closes a
 	// partial topology around excluded members. Detector state is
-	// retained only for the watch set and beacon piggyback state only
-	// for the beacon set, so both maps are O(k) under a partial
+	// retained only for the watch set, so it is O(k) under a partial
 	// topology.
 	topo := ln.c.opts.Topology
 	ln.watch = topo.Monitors(members, ln.id)
 	ln.beaconTo = topology.BeaconTargets(topo, members, ln.id)
 	ln.watchSet = ids.NewSet(ln.watch...)
-	ln.beaconSet = ids.NewSet(ln.beaconTo...)
 	ln.wheel = buildWheel(members, ln.id, ln.beaconTo, ln.watch)
-	ln.relayPartial = len(ln.watch) < len(members)-1
-	ln.gossip = ln.c.digests && ln.relayPartial
+	ln.partial = len(ln.watch) < len(members)-1
 	ln.pruneDigests(ids.NewSet(members...))
 	ln.det.Retain(ln.watch)
 	// A member entering the watch set starts with a fresh silence clock.
@@ -719,11 +629,6 @@ func (e *liveEnv) RecordInstall(ver member.Version, members []ids.ProcID) {
 	for _, q := range ln.watch {
 		if !oldWatch.Has(q) {
 			ln.det.Rearm(q, now)
-		}
-	}
-	for q := range ln.lastSent {
-		if !ln.beaconSet.Has(q) {
-			delete(ln.lastSent, q)
 		}
 	}
 	ln.c.rec.RecordInstall(ln.id, ver, members)

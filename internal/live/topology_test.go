@@ -2,166 +2,85 @@ package live
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 	"time"
 
 	"procgroup/internal/check"
+	"procgroup/internal/core"
+	"procgroup/internal/fd"
 	"procgroup/internal/ids"
 	"procgroup/internal/topology"
+	"procgroup/internal/trace"
 	"procgroup/internal/transport"
 )
 
-// --- Pinned: Full topology reproduces the pre-topology wheel exactly ---------
+// --- The liveness wheel is cadence-pure on every transport -----------------
 
-// oldWheel replays, literally, the liveness wheel the live runtime ran
-// before the topology extraction:
-//
-//	peers := view members minus self, in view order   // per install
-//	for _, m := range peers {                          // per beat
-//		if sent, ok := lastSent[m]; !ok || now.Sub(sent) >= every {
-//			post(Heartbeat); lastSent[m] = now
-//		}
-//		// ... suspicion check for the same m, which may Send and
-//		// thereby refresh lastSent mid-pass ...
-//	}
-//
-// TestFullBeaconScheduleMatchesPreTopologyWheel drives it and the
-// topology-extracted wheel (buildWheel + beaconDue, walked exactly the
-// way liveNode.beat walks it) over identical randomized schedules of
-// installs, ticks and mid-pass protocol sends, and requires bit-identical
-// beacon schedules — the Full extraction is behavior-preserving by
-// construction, not by resemblance.
-type oldWheel struct {
-	self     ids.ProcID
-	peers    []ids.ProcID
-	lastSent map[ids.ProcID]time.Time
+// sendLog is a plane-less Transport that records every send and delivers
+// nothing: the wheel under test talks to no one. Single-goroutine use.
+type sendLog struct{ sent []loggedSend }
+
+type loggedSend struct {
+	to ids.ProcID
+	m  transport.Message
 }
 
-func (o *oldWheel) install(members []ids.ProcID) {
-	o.peers = o.peers[:0]
-	current := make(map[ids.ProcID]bool, len(members))
-	for _, m := range members {
-		current[m] = true
-		if m != o.self {
-			o.peers = append(o.peers, m)
-		}
-	}
-	for q := range o.lastSent {
-		if !current[q] {
-			delete(o.lastSent, q)
-		}
-	}
+func (l *sendLog) Register(ids.ProcID, transport.Handler) error { return nil }
+func (l *sendLog) Unregister(ids.ProcID)                        {}
+func (l *sendLog) Stats() transport.Stats                       { return transport.Stats{} }
+func (l *sendLog) Close() error                                 { return nil }
+func (l *sendLog) Send(_, to ids.ProcID, m transport.Message) {
+	l.sent = append(l.sent, loggedSend{to: to, m: m})
 }
 
-func (o *oldWheel) beat(now time.Time, every time.Duration, onPeer func(m ids.ProcID, beaconed bool)) {
-	for _, m := range o.peers {
-		beaconed := false
-		if sent, ok := o.lastSent[m]; !ok || now.Sub(sent) >= every {
-			beaconed = true
-			o.lastSent[m] = now
-		}
-		onPeer(m, beaconed)
-	}
-}
-
-// newWheel drives the extracted scheduling code (buildWheel + beaconDue)
-// with the same walk order liveNode.beat uses.
-type newWheel struct {
-	self     ids.ProcID
-	topo     topology.Topology
-	wheel    []wheelEntry
-	lastSent map[ids.ProcID]time.Time
-	beacons  ids.Set
-}
-
-func (w *newWheel) install(members []ids.ProcID) {
-	watch := w.topo.Monitors(members, w.self)
-	beaconTo := topology.BeaconTargets(w.topo, members, w.self)
-	w.beacons = ids.NewSet(beaconTo...)
-	w.wheel = buildWheel(members, w.self, beaconTo, watch)
-	for q := range w.lastSent {
-		if !w.beacons.Has(q) {
-			delete(w.lastSent, q)
-		}
-	}
-}
-
-func (w *newWheel) beat(now time.Time, every time.Duration, onPeer func(m ids.ProcID, beaconed bool)) {
-	for _, e := range w.wheel {
-		beaconed := e.beacon && beaconDue(e.m, w.lastSent, now, every)
-		onPeer(e.m, beaconed)
-	}
-}
-
-func TestFullBeaconScheduleMatchesPreTopologyWheel(t *testing.T) {
-	const every = 20 * time.Millisecond
-	self := ids.Named("self")
-	universe := ids.Gen(6)
-	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		now := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-		olds := &oldWheel{self: self, lastSent: make(map[ids.ProcID]time.Time)}
-		news := &newWheel{self: self, topo: topology.Full{}, lastSent: make(map[ids.ProcID]time.Time)}
-		install := func() {
-			// A random view containing self, in a stable order.
-			members := []ids.ProcID{self}
-			for _, p := range universe {
-				if rng.Intn(3) > 0 {
-					members = append(members, p)
-				}
-			}
-			olds.install(members)
-			news.install(members)
-		}
-		install()
-		for step := 0; step < 400; step++ {
-			now = now.Add(time.Duration(rng.Intn(15_000)) * time.Microsecond)
-			switch rng.Intn(6) {
-			case 0:
-				install()
-			case 1: // a protocol send piggybacks as a beacon on one channel
-				if len(olds.peers) > 0 {
-					q := olds.peers[rng.Intn(len(olds.peers))]
-					olds.lastSent[q] = now
-					news.lastSent[q] = now
-				}
-			default: // a beat tick; suspicion may Send mid-pass
-				var oldSched, newSched []string
-				sendDuring := rng.Intn(4) == 0
-				mid := func(lastSent map[ids.ProcID]time.Time, peers []ids.ProcID, i int) {
-					// Emulate a suspicion firing at the i-th peer whose
-					// handling sends protocol traffic to every peer (the
-					// coordinator-starts-a-round case), suppressing the
-					// rest of this pass's pure beacons.
-					if sendDuring && i == 1 {
-						for _, q := range peers {
-							lastSent[q] = now
-						}
-					}
-				}
-				i := 0
-				olds.beat(now, every, func(m ids.ProcID, beaconed bool) {
-					if beaconed {
-						oldSched = append(oldSched, m.String())
-					}
-					mid(olds.lastSent, olds.peers, i)
-					i++
-				})
-				j := 0
-				news.beat(now, every, func(m ids.ProcID, beaconed bool) {
-					if beaconed {
-						newSched = append(newSched, m.String())
-					}
-					mid(news.lastSent, olds.peers, j)
-					j++
-				})
-				if fmt.Sprint(oldSched) != fmt.Sprint(newSched) {
-					t.Fatalf("seed %d step %d: beacon schedule diverged\n  old: %v\n  new: %v",
-						seed, step, oldSched, newSched)
-				}
+// beacons returns the recipients of the logged beacon-class frames
+// (unrecorded Heartbeats and digests), in send order, and clears the log.
+func (l *sendLog) beacons() []ids.ProcID {
+	var to []ids.ProcID
+	for _, s := range l.sent {
+		switch s.m.Payload.(type) {
+		case Heartbeat, SuspicionDigest:
+			if s.m.MsgID == 0 {
+				to = append(to, s.to)
 			}
 		}
+	}
+	l.sent = nil
+	return to
+}
+
+// TestWheelBeaconsEveryPassOnAnyTransport drives one node's wheel by hand
+// over a transport with no beacon plane: two back-to-back passes with a
+// protocol send to a monitor between them must each emit exactly one
+// beacon-class frame per member that monitors this node, in view order,
+// and none to the members it only watches. A protocol frame is no
+// inter-arrival sample for the peer's detector, so it replaces no beacon.
+func TestWheelBeaconsEveryPassOnAnyTransport(t *testing.T) {
+	// Ring-2 over p1..p6: p1 watches p2, p3 and is watched by p5, p6.
+	wire := &sendLog{}
+	opts := ringOpts(6, 2)
+	opts.Transport = wire
+	c := &Cluster{opts: opts, tr: wire, rec: trace.NewRecorder(func() int64 { return 0 })}
+	self := ids.Named("p1")
+	ln := &liveNode{
+		c:          c,
+		id:         self,
+		det:        fd.NewTimeoutFactory(time.Hour)(),
+		digestOut:  make(map[ids.ProcID]*digestPending),
+		digestSeen: ids.NewSet(),
+	}
+	ln.node = core.New(self, (*liveEnv)(ln), nodeConfig(opts))
+	ln.node.Bootstrap(ids.Gen(6))
+
+	want := fmt.Sprint([]ids.ProcID{ids.Named("p5"), ids.Named("p6")})
+	ln.beat()
+	if got := fmt.Sprint(wire.beacons()); got != want {
+		t.Fatalf("first pass beaconed %s, want %s", got, want)
+	}
+	(*liveEnv)(ln).Send(ids.Named("p5"), core.OK{})
+	ln.beat()
+	if got := fmt.Sprint(wire.beacons()); got != want {
+		t.Fatalf("pass after a protocol send beaconed %s, want %s", got, want)
 	}
 }
 
@@ -206,13 +125,13 @@ func TestRingExcludesKilledMember(t *testing.T) {
 	checkGMP(t, c, 5)
 }
 
-func TestRingCoordinatorDeathReconfiguresViaRelay(t *testing.T) {
+func TestRingCoordinatorDeathReconfiguresViaHeirReport(t *testing.T) {
 	// Ring-1, kill the coordinator: only its single rank-predecessor
 	// observes the death, and the next-in-rank (who must initiate
 	// reconfiguration) does not monitor the coordinator at all. The
-	// suspicion-relay path is the only way faulty(Mgr) can reach it
-	// before the Table 1 timeout; with the relay, reconfiguration
-	// completes at detection speed.
+	// observer's point-to-point FaultyReport to that heir is the only way
+	// faulty(Mgr) can reach it before the Table 1 timeout; with it,
+	// reconfiguration completes at detection speed.
 	c := Start(ringOpts(6, 1))
 	defer c.Stop()
 	if _, err := c.WaitConverged(5 * time.Second); err != nil {
@@ -233,7 +152,7 @@ func TestRingCoordinatorDeathReconfiguresViaRelay(t *testing.T) {
 }
 
 func TestRingDegenerateKCollapsesToFull(t *testing.T) {
-	// k ≥ n−1: every node watches everyone, nothing is relayed, and the
+	// k ≥ n−1: every node watches everyone, nothing is gossiped, and the
 	// cluster behaves exactly like Full — including excluding a killed
 	// coordinator.
 	c := Start(ringOpts(4, 9))
@@ -252,22 +171,19 @@ func TestRingDegenerateKCollapsesToFull(t *testing.T) {
 	checkGMP(t, c, 4)
 }
 
-func TestRingPartitionedMonitorRelayStillExcludes(t *testing.T) {
+func TestRingPartitionedMonitorAwaitStillExcludes(t *testing.T) {
 	// The Chaos × RingK interplay: ring-1 over p1..p5, so p2 is the ONLY
 	// monitor of p3. Kill p3 and simultaneously block everything p2
-	// sends to the coordinator p1 — p2's GMP-5 report can never arrive.
-	// p3's exclusion must still happen, through the dissemination
-	// machinery the partial topology adds: p2's relay carries faulty(p3)
-	// to its next unsuspected ring successor p4, which forwards it to
-	// p1; and if that relay is itself lost to the race with p2's own
-	// exclusion (S1 discards traffic from members already believed
-	// faulty), the coordinator's await fallback (Config.AwaitWait)
-	// surmises faulty of the unaccounted p3 rather than wedging the
-	// round on a member nobody monitors anymore. (p2 goes silent toward
-	// its own monitor p1 and is usually excluded too — an asymmetric
-	// partition is indistinguishable from a crash, which the paper
-	// permits; with p3 and p2 gone the {p1, p4, p5} majority keeps the
-	// group live.)
+	// sends to the coordinator p1 — p2's GMP-5 report can never arrive,
+	// and p2's digests travel only along its one beacon edge, which is
+	// that same blocked link to its monitor p1. p3's exclusion must still
+	// happen: p2 falls silent toward p1 and is suspected, and the
+	// coordinator's round to exclude it stalls on p3, which nobody alive
+	// monitors; the await fallback (Config.AwaitWait) then surmises
+	// faulty of the unaccounted p3 rather than wedging the round. (An
+	// asymmetric partition is indistinguishable from a crash, which the
+	// paper permits; with p3 and p2 gone the {p1, p4, p5} majority keeps
+	// the group live.)
 	opts := ringOpts(5, 1)
 	ch := transport.NewChaos(transport.NewInmem(), transport.ChaosOptions{})
 	opts.Transport = ch
@@ -285,7 +201,7 @@ func TestRingPartitionedMonitorRelayStillExcludes(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("the relay never carried the monitor's suspicion around the partition: p3 still in the coordinator's view")
+			t.Fatal("the partitioned monitor's suspect was never excluded: p3 still in the coordinator's view")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -398,7 +314,8 @@ func TestRingOverTCPExcludesKilledMember(t *testing.T) {
 	// The whole stack at once: ring-2 monitoring over real sockets. The
 	// lazily-dialed connection count must stay at the ring's footprint
 	// (≤ n·k pairs, well under the full mesh's n(n−1)/2) while exclusion
-	// still works.
+	// still works — with the suspicion spread by digests, which ride the
+	// stream here because plain TCP has no beacon plane.
 	const n, k = 6, 2
 	opts := ringOpts(n, k)
 	opts.Transport = transport.NewTCP()
@@ -420,6 +337,9 @@ func TestRingOverTCPExcludesKilledMember(t *testing.T) {
 	}
 	if v.Has(victim) {
 		t.Fatalf("victim still in %v", v)
+	}
+	if st := c.TransportStats(); st.SuspicionFrames == 0 {
+		t.Errorf("exclusion spread without any counted suspicion frames: %+v", st)
 	}
 	checkGMP(t, c, n)
 }
@@ -455,8 +375,8 @@ func TestHierExcludesKilledMember(t *testing.T) {
 
 func TestHierCoordinatorDeathReconfigures(t *testing.T) {
 	// The coordinator is also its cluster's leader: killing it must let
-	// the relay carry faulty(p1) from its monitors (intra predecessor +
-	// previous leader) to the heir p2, which initiates reconfiguration.
+	// its monitors (intra predecessor + previous leader) report faulty(p1)
+	// to the heir p2, which initiates reconfiguration.
 	c := Start(hierOpts(9, 3, 1))
 	defer c.Stop()
 	if _, err := c.WaitConverged(5 * time.Second); err != nil {
@@ -476,17 +396,16 @@ func TestHierCoordinatorDeathReconfigures(t *testing.T) {
 	checkGMP(t, c, 9)
 }
 
-func TestHierPartitionedMonitorRelayStillExcludes(t *testing.T) {
+func TestHierPartitionedMonitorDigestStillExcludes(t *testing.T) {
 	// The Chaos × Hier interplay, mirroring the ring-1 partition test:
 	// under Hier{C:3, K:1} over p1..p9, p5 is the ONLY monitor of p6.
 	// Kill p6 and block everything p5 sends to the coordinator p1 — p5's
 	// GMP-5 report can never arrive directly. The exclusion must still
-	// happen through the hierarchy's dissemination: p5's relay re-closes
-	// the topology over the unsuspected members (clusters recomputed over
-	// the filtered view) and hands faulty(p6) to its new intra-cluster
-	// successor, from which the strongly-connected monitor graph carries
-	// it — leader ring included — to p1; the coordinator's await fallback
-	// (Config.AwaitWait) backstops the race with p5's own exclusion.
+	// happen through the hierarchy's dissemination: p5's digests reach
+	// its own monitor p4, and from there the strongly-connected monitor
+	// graph carries faulty(p6) — leader ring included — to p1; the
+	// coordinator's await fallback (Config.AwaitWait) backstops the race
+	// with p5's own exclusion.
 	opts := hierOpts(9, 3, 1)
 	ch := transport.NewChaos(transport.NewInmem(), transport.ChaosOptions{})
 	opts.Transport = ch

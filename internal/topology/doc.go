@@ -3,8 +3,8 @@
 // members each process watches, decoupling *who monitors whom* from *who
 // is a member*. Full reproduces the pre-extraction all-to-all behavior;
 // RingK monitors k rank-successors around the seniority ring, cutting
-// beacon traffic from O(n²) to O(n·k) while the suspicion-relay path in
-// internal/core preserves F1's eventual-suspicion contract; Hier cuts
+// beacon traffic from O(n²) to O(n·k) while suspicion digests riding the
+// beacons preserve F1's eventual-suspicion contract; Hier cuts
 // the seniority order into contiguous clusters of C — each an
 // intra-cluster ring-K, stitched by a ring-K of the cluster leaders —
 // keeping O(n·k) beacons while shrinking the suspicion-dissemination

@@ -16,16 +16,15 @@ const DefaultHierClusterSize = 8
 // monitoring degree stays O(k) per member (leaders pay 2k), so beacon
 // traffic is O(n·k) like RingK, but the monitoring graph's diameter drops
 // from n/k hops to ~C/k + L/k (L = number of clusters): suspicion
-// dissemination — relay or digest — crosses the group in far fewer hops
-// at n in the hundreds.
+// digests cross the group in far fewer hops at n in the hundreds.
 //
 // Like RingK, the layout is a pure function of the membership list,
 // recomputed on every view installation, so churn immediately re-clusters
 // the group: an excluded leader's cluster gets its next member promoted,
 // and members shift between clusters as seniors leave. The graph stays
 // strongly connected (intra-cluster rings pass through every member,
-// leaders link every cluster), so the suspicion relay's hop-by-hop flood
-// reaches every operational member, and every member has at least one
+// leaders link every cluster), so the digests' hop-by-hop flood reaches
+// every operational member, and every member has at least one
 // monitor whenever the group has two members — F1's eventual-suspicion
 // contract keeps its coverage.
 //

@@ -16,9 +16,7 @@ import (
 // Implementations must be pure functions of their arguments: the live
 // runtime calls Monitors concurrently from every node's event loop, on
 // every view installation (so churn immediately re-closes a partial
-// topology) and on every suspicion relay (where the view is filtered down
-// to the members the relayer still believes operational). Stateless
-// struct values satisfy this trivially.
+// topology). Stateless struct values satisfy this trivially.
 type Topology interface {
 	// Monitors returns the members self must monitor, given the view's
 	// membership in seniority order (most senior first — the order
@@ -94,11 +92,11 @@ const DefaultRingK = 3
 //
 // The ring is recomputed from the membership list on every call, so each
 // view installation re-closes it around excluded members — k consecutive
-// failures between two installations are the window's tolerance, and the
-// suspicion-relay path (see internal/core's SuspicionRelayer) carries a
-// monitor's faulty_p(q) around the live remainder of the ring so it
-// reaches the coordinator (or, when the coordinator is the suspect, the
-// member next in rank) even though they do not monitor q themselves.
+// failures between two installations are the window's tolerance. A
+// monitor reports faulty_p(q) to the coordinator directly (or, when the
+// coordinator is the suspect, to the member next in rank), and the live
+// runtime's suspicion digests (see internal/core's SuspicionGossiper)
+// carry it around the ring to everyone else, none of whom monitor q.
 //
 // When K ≥ len(view)−1 every successor set is the whole group and RingK
 // degenerates to Full exactly.

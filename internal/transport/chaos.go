@@ -40,11 +40,13 @@ type ChaosLink struct {
 	// study exactly that; use BeaconLoss to stress only the failure
 	// detector.
 	Loss float64
-	// BeaconLoss drops only substrate beacons (frames with MsgID 0 —
-	// unrecorded liveness traffic) with this probability. Beacons are
-	// idempotent and loss-tolerant by design, so BeaconLoss thins the
-	// failure detector's signal without touching the protocol's
-	// reliable channels.
+	// BeaconLoss drops only beacon-class frames (beacon-registered
+	// payloads sent with MsgID 0, the frames TwoPlane routes to its
+	// datagram plane) with this probability. Beacons are idempotent and
+	// loss-tolerant by design, so BeaconLoss thins the failure
+	// detector's signal without touching the protocol's reliable
+	// channels — including unrecorded application frames, which are
+	// MsgID 0 too.
 	BeaconLoss float64
 	// BurstEvery/BurstFor schedule periodic total outages: during the
 	// last BurstFor of every BurstEvery period the link drops
@@ -286,7 +288,7 @@ func (c *Chaos) dropsLocked(link ChaosLink, m Message) bool {
 			return true
 		}
 	}
-	if m.MsgID == 0 && link.BeaconLoss > 0 && c.rng.Float64() < link.BeaconLoss {
+	if link.BeaconLoss > 0 && isBeacon(m) && c.rng.Float64() < link.BeaconLoss {
 		return true
 	}
 	return link.Loss > 0 && c.rng.Float64() < link.Loss

@@ -57,6 +57,31 @@ func TestChaosLossIsCountedAsInjected(t *testing.T) {
 	}
 }
 
+func TestChaosBeaconLossSparesReliableFrames(t *testing.T) {
+	// BeaconLoss drops beacon-class frames only. An unrecorded (MsgID 0)
+	// frame of a non-beacon payload — the shape of every application-
+	// layer send — rides the reliable channel and must arrive.
+	tr := NewChaos(NewInmem(), ChaosOptions{Default: ChaosLink{BeaconLoss: 1}})
+	defer tr.Close()
+	a, b := ids.Named("a"), ids.Named("b")
+	var s sink
+	if err := tr.Register(a, func(ids.ProcID, Message) {}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Register(b, s.handler); err != nil {
+		t.Fatal(err)
+	}
+	tr.Send(a, b, Message{Payload: hb{}}) // hb is a registered beacon (bench_test.go)
+	tr.Send(a, b, Message{Payload: fifoPayload{N: 7}})
+	waitFor(t, 2*time.Second, func() bool { return s.len() > 0 }, "the non-beacon frame")
+	if p, ok := s.msg(0).Payload.(fifoPayload); s.len() != 1 || !ok || p.N != 7 {
+		t.Errorf("delivered %d frames, first %#v; want only fifoPayload{N: 7}", s.len(), s.msg(0).Payload)
+	}
+	if got := tr.Stats().ChaosInjected; got != 1 {
+		t.Errorf("ChaosInjected = %d, want 1 (the beacon)", got)
+	}
+}
+
 func TestChaosAsymmetricPartition(t *testing.T) {
 	// Block a→b only: b still reaches a — the asymmetric half-open
 	// failure real networks produce and global fail-stop models cannot.

@@ -181,6 +181,14 @@ func binCodecFor(v any) *payloadCodec {
 	return nil
 }
 
+// isBeacon reports whether m is beacon-class traffic: a beacon-registered
+// payload (suspicion digests included) sent unrecorded, MsgID 0. TwoPlane
+// routes by it and Chaos's BeaconLoss drops by it.
+func isBeacon(m Message) bool {
+	c := binCodecFor(m.Payload)
+	return c != nil && c.beacon && m.MsgID == 0
+}
+
 func binCodecByKind(kind byte) *payloadCodec {
 	return binReg.byKind[kind].Load()
 }
@@ -745,9 +753,9 @@ func registerCoreCodecs() {
 			return core.ReconfCommit{RL: getSeq(d), Ver: getVer(d), Invis: getOp(d), Faulty: getProcIDs(d)}
 		}, false, PayloadClass{})
 
-	// FaultyReport is the point-to-point suspicion vocabulary (direct
-	// reports to the coordinator and the topology relay flood), so it is
-	// the relay arm of the SuspicionFrames cost comparison.
+	// FaultyReport is the point-to-point suspicion vocabulary (GMP-5
+	// reports to the coordinator and the unicast to the heir of a dead
+	// one), so its sends count in Stats.SuspicionFrames beside digests.
 	registerBinary(kindFaultyReport, core.FaultyReport{},
 		func(e *Encoder, v any) { putProcID(e, v.(core.FaultyReport).Suspect) },
 		func(d *Decoder) any { return core.FaultyReport{Suspect: getProcID(d)} }, false, PayloadClass{Suspicion: true})

@@ -19,9 +19,9 @@
 //     delay (what a shared stream imposes) distorts every inter-arrival
 //     the failure detector fits (DESIGN.md §9);
 //   - TwoPlane: the composition that routes beacon-class payloads to a
-//     datagram plane and everything else to a stream plane, exposing the
-//     split via BeaconPlaner so the live runtime can send cadence-pure
-//     beacons;
+//     datagram plane and everything else to a stream plane, so beacons
+//     never queue behind protocol traffic (BeaconPlaner exposes the
+//     plane to tests and tools);
 //   - Lossy: an adversarial datagram link (loss, duplication, delay)
 //     repaired by the alternating-bit protocol of internal/channel — the
 //     paper's §3 claim that reliable FIFO channels are implementable
@@ -38,8 +38,7 @@
 // accounting through Stats, which also gauges send-queue depth (current
 // and high-water) so congestion is observable before it becomes drops,
 // and counts suspicion-class frames (Stats.SuspicionFrames) so the
-// digest-vs-relay dissemination cost of DESIGN.md §10 is measured at
-// the wire. The TCP stream plane honors the reliable-FIFO contract
+// dissemination cost of DESIGN.md §10 is measured at the wire. The TCP stream plane honors the reliable-FIFO contract
 // through transient faults: simultaneous opens resolve to the same
 // socket on both ends (smaller initiator wins; a pair whose two ends
 // share one instance keeps its dialed socket), and the pair writer

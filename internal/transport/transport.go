@@ -86,9 +86,9 @@ type Stats struct {
 	DecodeFailed int64
 	// SuspicionFrames counts outbound frames whose payload disseminates
 	// failure suspicions (FaultyReport point-to-point traffic and
-	// suspicion digests alike). It is a cost counter, not a drop: the
-	// digest-vs-flood comparison reads this directly instead of
-	// inferring dissemination traffic from beacon counts.
+	// suspicion digests alike). It is a cost counter, not a drop:
+	// dissemination cost is read here directly instead of being
+	// inferred from beacon counts.
 	SuspicionFrames int64
 	// ConnsOpen is a gauge, not a counter: the number of connections
 	// currently established (TCP: one per peer pair with an active

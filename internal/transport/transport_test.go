@@ -612,26 +612,44 @@ func TestLossyInvertedDelayBoundsDoNotPanic(t *testing.T) {
 }
 
 // TestBeaconCoalescingInQueue: beacons queued behind a stuck link
-// coalesce to at most one in flight plus one queued — a second
-// undelivered beacon carries no extra liveness information — while
-// protocol frames are all retained in FIFO order.
+// coalesce to one queued beacon — a second undelivered beacon carries no
+// extra liveness information — while protocol frames are all retained in
+// FIFO order. tcpPostDialHook holds the pair writer inside its first dial
+// (after it has popped a warm-up frame), so the queue is observed with
+// nothing draining it.
 func TestBeaconCoalescingInQueue(t *testing.T) {
 	tr := NewTCP()
 	defer tr.Close()
 	a, b := ids.Named("a"), ids.Named("b")
+	var s sink
 	if err := tr.Register(a, func(ids.ProcID, Message) {}); err != nil {
 		t.Fatal(err)
 	}
-	tr.AddPeer(b, "10.255.255.1:9") // blackhole: the writer wedges in dial
+	if err := tr.Register(b, s.handler); err != nil {
+		t.Fatal(err)
+	}
+	inDial, release := make(chan struct{}), make(chan struct{})
+	tcpPostDialHook = func(ids.ProcID, ids.ProcID) {
+		tcpPostDialHook = nil
+		close(inDial)
+		<-release
+	}
+	defer func() { tcpPostDialHook = nil }()
+	tr.Send(a, b, Message{MsgID: 1, Payload: fifoPayload{N: 0}}) // warm-up: dials
+	select {
+	case <-inDial:
+	case <-time.After(10 * time.Second):
+		close(release)
+		t.Fatal("the pair writer never reached its dial")
+	}
+
 	for i := 0; i < 50; i++ {
 		tr.Send(a, b, Message{Payload: hb{}}) // hb is a registered beacon (bench_test.go)
 	}
 	for i := 0; i < 50; i++ {
-		tr.Send(a, b, Message{MsgID: int64(i + 1), Payload: fifoPayload{N: i}})
+		tr.Send(a, b, Message{MsgID: int64(i + 2), Payload: fifoPayload{N: i + 1}})
 	}
-	tr.mu.RLock()
-	m := tr.pairs[pairOf(a, b)]
-	tr.mu.RUnlock()
+	m := pairMuxOf(t, tr, a, b)
 	m.mu.Lock()
 	pending := m.pending
 	beacons := 0
@@ -641,15 +659,17 @@ func TestBeaconCoalescingInQueue(t *testing.T) {
 		}
 	}
 	m.mu.Unlock()
-	if beacons > 1 {
-		t.Errorf("%d beacons queued, want ≤ 1 (coalesced)", beacons)
+	close(release)
+	if beacons != 1 {
+		t.Errorf("%d beacons queued, want exactly 1 (coalesced)", beacons)
 	}
-	// 50 protocol frames plus ≤1 coalesced beacon, minus the ≤2 the
-	// writer may have popped before wedging.
-	if pending < 48 || pending > 51 {
-		t.Errorf("pending = %d, want the full protocol backlog (≈50) and one beacon", pending)
+	if pending != 51 {
+		t.Errorf("pending = %d, want 50 protocol frames and 1 beacon", pending)
 	}
 	if sat := tr.Stats().QueueSaturated; sat != 0 {
 		t.Errorf("coalescing counted as drops: QueueSaturated = %d", sat)
 	}
+	// Released, the link delivers the warm-up, the one beacon and the
+	// whole protocol backlog.
+	waitFor(t, 10*time.Second, func() bool { return s.len() == 52 }, "the drained queue")
 }

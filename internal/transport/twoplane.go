@@ -7,12 +7,9 @@ import (
 )
 
 // BeaconPlaner is implemented by transports that carry beacon traffic on
-// a dedicated plane, decoupled from stream backpressure. The live
-// runtime detects it to switch beacon scheduling from piggyback
-// suppression (a protocol send doubles as a beacon) to cadence-pure
-// emission: on a dedicated plane a beacon costs one datagram and its
-// arrival time is a clean detector sample, so suppressing it only
-// removes evidence.
+// a dedicated plane, decoupled from stream backpressure. It is a plane
+// accessor for tests and tools only: the live runtime schedules beacons
+// identically on every transport and never consults it.
 type BeaconPlaner interface {
 	Transport
 	// BeaconPlane exposes the plane beacons ride, for tests and tools
@@ -68,12 +65,10 @@ func (t *TwoPlane) Unregister(p ids.ProcID) {
 	t.beacon.Unregister(p)
 }
 
-// Send implements Transport, routing by traffic class: pure beacons
-// (beacon-registered payload, MsgID 0 — the exact coalescing predicate
-// of the stream mux) take the datagram plane, everything else the
-// stream plane.
+// Send implements Transport, routing by traffic class: beacon-class
+// frames take the datagram plane, everything else the stream plane.
 func (t *TwoPlane) Send(from, to ids.ProcID, m Message) {
-	if c := binCodecFor(m.Payload); c != nil && c.beacon && m.MsgID == 0 {
+	if isBeacon(m) {
 		t.beacon.Send(from, to, m)
 		return
 	}

@@ -94,21 +94,6 @@ type (
 	// monitoring relation decoupled from membership); set it on
 	// GroupOptions.Topology. Nil keeps all-to-all monitoring.
 	Topology = topology.Topology
-	// DigestMode selects how suspicions disseminate under a partial
-	// topology (GroupOptions.Digests): DigestAuto batches them into
-	// beacon-borne digests wherever a beacon plane exists, DigestOff
-	// forces the point-to-point relay flood.
-	DigestMode = live.DigestMode
-)
-
-// Digest dissemination modes for GroupOptions.Digests.
-const (
-	// DigestAuto (the default) rides suspicion digests on the beacon
-	// plane whenever the transport has one and the topology is partial.
-	DigestAuto = live.DigestAuto
-	// DigestOff forces the point-to-point suspicion relay everywhere —
-	// the A/B baseline of the scale experiment (E19).
-	DigestOff = live.DigestOff
 )
 
 // NewInmemTransport builds the default in-process transport explicitly
@@ -137,10 +122,10 @@ func NewUDPTransport() *UDPTransport { return transport.NewUDP() }
 // stream plane's queues and connections entirely, so a neighbor
 // saturating its link cannot delay — and thereby distort — the timing
 // evidence the failure detector runs on. When stream is nil a loopback
-// TCP transport is used. The live runtime detects the split and emits
-// beacons cadence-pure (every interval, no piggyback suppression),
-// giving adaptive detectors the cleanest possible inter-arrival
-// samples.
+// TCP transport is used. The live runtime emits beacons cadence-pure
+// (every interval) on any transport; on this one they also never queue
+// behind protocol traffic, giving adaptive detectors the cleanest
+// possible inter-arrival samples.
 func NewUDPBeaconTransport(stream Transport) *TwoPlaneTransport {
 	if stream == nil {
 		stream = transport.NewTCP()
@@ -216,9 +201,9 @@ func NewFullTopology() Topology { return topology.Full{} }
 // (and beacons to its k rank-predecessors), recomputed at every view
 // installation so churn re-closes the ring. Beacon traffic is O(n·k) and
 // a TCP group settles at ~n·k connections instead of n(n−1)/2; a
-// monitor's suspicion reaches the coordinator via the relay path riding
-// F2 gossip, preserving F1's eventual-suspicion contract (see
-// DESIGN.md §8 and experiment E17). k ≤ 0 selects the default (3);
+// monitor's suspicion reaches the coordinator directly and spreads to
+// everyone else in suspicion digests riding the beacons, preserving F1's
+// eventual-suspicion contract (see DESIGN.md §8 and experiment E17). k ≤ 0 selects the default (3);
 // k ≥ n−1 degenerates to full monitoring.
 func NewRingTopology(k int) Topology { return topology.RingK{K: k} }
 
