@@ -89,58 +89,67 @@ func (e *gossipEnv) GossipSuspicion(q ids.ProcID, _ float64) {
 	s.Add(q)
 }
 
-// TestHeirReportCarriesCoordinatorSuspicion: under ring-1 only p5 (the
-// coordinator's sole rank predecessor) observes p1's death. In a gossiping
-// environment p5 gossips the suspicion and sends exactly one point-to-point
-// FaultyReport to the heir p2, which must initiate and complete
-// reconfiguration with no timers armed. A plain environment (the
-// simulator's shape) sends no FaultyReport at all: reportSuspicions has no
-// live coordinator to report to, and nothing else disseminates.
-func TestHeirReportCarriesCoordinatorSuspicion(t *testing.T) {
-	const n = 5
+// killCoordinator bootstraps n nodes over envs built by mkEnv (no timers
+// armed), kills the coordinator p1, lets only p5 (its sole ring-1 rank
+// predecessor) suspect it, and pumps the bus dry.
+func killCoordinator(n int, mkEnv func(*gossipBus, ids.ProcID) core.Env) (*gossipBus, []ids.ProcID) {
 	procs := ids.Gen(n)
-	mgr, heir, observer := procs[0], procs[1], procs[n-1]
-	for _, tc := range []struct {
-		name    string
-		env     func(*gossipBus, ids.ProcID) core.Env
-		reports int
-	}{
-		{"gossiping", func(b *gossipBus, p ids.ProcID) core.Env { return &gossipEnv{plainEnv{b, p}} }, 1},
-		{"plain", func(b *gossipBus, p ids.ProcID) core.Env { return &plainEnv{b, p} }, 0},
-	} {
-		bus := newGossipBus()
-		cfg := core.Config{Compression: true, MajorityCheck: true} // no timers
-		for _, p := range procs {
-			bus.nodes[p] = core.New(p, tc.env(bus, p), cfg)
-		}
-		for _, p := range procs {
-			bus.nodes[p].Bootstrap(procs)
-		}
-		bus.dead.Add(mgr)
-		bus.nodes[observer].Suspect(mgr)
-		bus.pump()
+	bus := newGossipBus()
+	cfg := core.Config{Compression: true, MajorityCheck: true} // no timers
+	for _, p := range procs {
+		bus.nodes[p] = core.New(p, mkEnv(bus, p), cfg)
+	}
+	for _, p := range procs {
+		bus.nodes[p].Bootstrap(procs)
+	}
+	bus.dead.Add(procs[0])
+	bus.nodes[procs[n-1]].Suspect(procs[0])
+	bus.pump()
+	return bus, procs
+}
 
-		if got := bus.faultyReports[mgr]; got != tc.reports {
-			t.Errorf("%s: FaultyReport(%v) sent %d times, want %d", tc.name, mgr, got, tc.reports)
+// TestRelayCarriesCoordinatorSuspicionToNextInRank: in a gossiping
+// environment the sole observer p5 gossips its suspicion of the dead
+// coordinator p1 and relays it to the heir p2 as exactly one point-to-point
+// FaultyReport; p2 must initiate and complete reconfiguration with no
+// timers armed.
+func TestRelayCarriesCoordinatorSuspicionToNextInRank(t *testing.T) {
+	const n = 5
+	bus, procs := killCoordinator(n, func(b *gossipBus, p ids.ProcID) core.Env {
+		return &gossipEnv{plainEnv{b, p}}
+	})
+	mgr, heir, observer := procs[0], procs[1], procs[n-1]
+
+	if got := bus.faultyReports[mgr]; got != 1 {
+		t.Errorf("FaultyReport(%v) sent %d times, want 1", mgr, got)
+	}
+	if !bus.gossiped[observer].Has(mgr) {
+		t.Errorf("observer %v never gossiped its suspicion of %v", observer, mgr)
+	}
+	for _, p := range procs[1:] {
+		nd := bus.nodes[p]
+		if !nd.Alive() {
+			t.Fatalf("%v quit: %s", p, nd.QuitReason())
 		}
-		if tc.reports == 0 {
-			continue
+		v := nd.View()
+		if v.Has(mgr) {
+			t.Errorf("%v still has the dead coordinator in %v", p, v)
 		}
-		if !bus.gossiped[observer].Has(mgr) {
-			t.Errorf("%s: observer %v never gossiped its suspicion of %v", tc.name, observer, mgr)
+		if got := v.Mgr(); got != heir {
+			t.Errorf("%v's coordinator = %v, want %v", p, got, heir)
 		}
-		for _, p := range procs[1:] {
-			nd := bus.nodes[p]
-			if !nd.Alive() {
-				t.Fatalf("%s: %v quit: %s", tc.name, p, nd.QuitReason())
-			}
-			v := nd.View()
-			if v.Has(mgr) {
-				t.Errorf("%s: %v still has the dead coordinator in %v", tc.name, p, v)
-			}
-			if got := v.Mgr(); got != heir {
-				t.Errorf("%s: %v's coordinator = %v, want %v", tc.name, p, got, heir)
-			}
-		}
+	}
+}
+
+// TestRelayInertWithoutRelayerEnv: an environment that is not a
+// SuspicionGossiper (the simulator's shape) sends no FaultyReport at all
+// for a suspected coordinator: reportSuspicions has no live coordinator to
+// report to, and nothing relays to the heir.
+func TestRelayInertWithoutRelayerEnv(t *testing.T) {
+	bus, procs := killCoordinator(5, func(b *gossipBus, p ids.ProcID) core.Env {
+		return &plainEnv{b, p}
+	})
+	if got := bus.faultyReports[procs[0]]; got != 0 {
+		t.Errorf("non-gossiping env sent %d FaultyReports for the suspected coordinator, want 0", got)
 	}
 }
