@@ -238,14 +238,15 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // view-agreement latency per transport: boot to the initial agreed view,
 // then a member crash to the post-exclusion agreed view. It is the perf
 // baseline for transport work — inmem is the floor (function-call
-// delivery), tcp pays the codec and loopback-socket tax on every channel.
+// delivery), twoplane pays the codec and loopback-socket tax on every
+// channel.
 func BenchmarkTimeToViewQuiescence(b *testing.B) {
 	transports := []struct {
 		name string
 		make func() procgroup.Transport
 	}{
 		{"inmem", func() procgroup.Transport { return procgroup.NewInmemTransport() }},
-		{"tcp", func() procgroup.Transport { return procgroup.NewTCPTransport() }},
+		{"twoplane", func() procgroup.Transport { return procgroup.NewUDPBeaconTransport() }},
 	}
 	for _, tr := range transports {
 		b.Run(tr.name, func(b *testing.B) {

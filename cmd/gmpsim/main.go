@@ -8,7 +8,7 @@
 //
 //	gmpsim -scenario exclusion -n 5 -seed 1
 //	gmpsim -scenario reconfig -trace
-//	gmpsim -live -transport tcp -n 5
+//	gmpsim -live -transport twoplane -n 5
 //	gmpsim -live -topology ring:3 -n 8
 //	gmpsim -list
 package main
@@ -84,7 +84,7 @@ func main() {
 	jsonOut := flag.String("json", "", "write the full run as JSON Lines to this file")
 	list := flag.Bool("list", false, "list scenarios")
 	liveRun := flag.Bool("live", false, "run the churn scenario on the live goroutine runtime instead of the simulator")
-	transportName := flag.String("transport", "inmem", "live transport: inmem, tcp (loopback sockets), lossy (ABP over a lossy link), or twoplane (beacons on UDP, protocol on TCP)")
+	transportName := flag.String("transport", "inmem", "live transport: inmem, or twoplane (beacons on UDP, protocol on TCP)")
 	topologyName := flag.String("topology", "full", "live monitoring topology: full (all-to-all), ring:k (each member watches its k rank-successors), or hier:c:k (clusters of c in intra-cluster ring-k, stitched by a leader ring), e.g. ring:3 or hier:8:2")
 	flag.Parse()
 
@@ -170,14 +170,10 @@ func runLive(transportName string, topo procgroup.Topology, n int) {
 	switch transportName {
 	case "inmem":
 		tr = procgroup.NewInmemTransport()
-	case "tcp":
-		tr = procgroup.NewTCPTransport()
-	case "lossy":
-		tr = procgroup.NewLossyTransport(procgroup.LossyTransportOptions{})
 	case "twoplane":
-		tr = procgroup.NewUDPBeaconTransport(nil) // beacons on UDP, protocol on TCP
+		tr = procgroup.NewUDPBeaconTransport() // beacons on UDP, protocol on TCP
 	default:
-		fmt.Fprintf(os.Stderr, "unknown transport %q; want inmem, tcp, lossy or twoplane\n", transportName)
+		fmt.Fprintf(os.Stderr, "unknown transport %q; want inmem or twoplane\n", transportName)
 		os.Exit(1)
 	}
 	if n < 3 {

@@ -21,14 +21,11 @@
 // Three live-group dimensions are selectable per group:
 //
 //   - Transport (GroupOptions.Transport): in-process delivery (default),
-//     real TCP sockets (NewTCPTransport), a UDP datagram plane
-//     (NewUDPTransport), the two-plane wire that keeps beacons on UDP
-//     and protocol traffic on a stream (NewUDPBeaconTransport — the
-//     failure detector's samples can no longer queue behind bulk data),
-//     a lossy datagram link repaired by the alternating-bit protocol
-//     (NewLossyTransport), or any of those degraded by the chaos harness
-//     (NewChaosTransport — per-link delay, jitter, beacon loss, burst
-//     outages, asymmetric partitions).
+//     the network wire that keeps protocol traffic on TCP streams and
+//     beacons on UDP datagrams (NewUDPBeaconTransport — the failure
+//     detector's samples can never queue behind bulk data), or either of
+//     those degraded by the chaos harness (NewChaosTransport — per-link
+//     delay, jitter, beacon loss, burst outages, asymmetric partitions).
 //
 //   - Failure detection (GroupOptions.Detector): the classic fixed
 //     silence threshold (NewFixedTimeoutDetector, the default via

@@ -1,8 +1,9 @@
 // TCP churn: the paper's deployment target made literal. A 5-node group
-// runs over real TCP loopback sockets — every peer pair shares one
-// length-prefixed binary stream carrying both directed channels, the
+// runs over the network wire on loopback — every peer pair shares one
+// length-prefixed binary TCP stream carrying both directed channels, the
 // substrate the §2.1 model describes as an asynchronous network of
-// reliable FIFO channels — and is driven through a
+// reliable FIFO channels, while heartbeats ride UDP datagrams beside it —
+// and is driven through a
 // join + crash churn scenario, including the loss of the coordinator. The
 // ViewWatcher condenses the per-process install streams into the agreed
 // view sequence GMP guarantees.
@@ -17,12 +18,11 @@ import (
 )
 
 func main() {
-	tr := procgroup.NewTCPTransport()
 	g := procgroup.StartGroup(procgroup.GroupOptions{
 		N:              5,
 		HeartbeatEvery: 20 * time.Millisecond,
 		SuspectAfter:   200 * time.Millisecond,
-		Transport:      tr,
+		Transport:      procgroup.NewUDPBeaconTransport(),
 	})
 	defer g.Stop()
 	w := procgroup.Watch(g)
@@ -37,11 +37,6 @@ func main() {
 	}
 
 	converge("bootstrap")
-	for _, p := range g.Running() {
-		if addr, ok := tr.Addr(p); ok {
-			fmt.Printf("  %-4v listening on %s\n", p, addr)
-		}
-	}
 
 	// Churn: a join, a member crash, then the coordinator's crash (which
 	// forces the three-phase reconfiguration of §4.1 over the sockets).

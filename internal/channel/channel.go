@@ -17,22 +17,11 @@ type Ack struct {
 	Bit bool
 }
 
-// Timeline is the clock the channel machinery runs on, measured in
-// abstract ticks: the deterministic *sim.Scheduler in tests and the
-// simulator, or a real-time adapter (one tick = one millisecond) under the
-// live lossy transport. Implementations must serialize all callbacks with
-// each other and with the channel's methods — the alternating-bit state
-// machines are single-threaded by design.
-type Timeline interface {
-	Now() sim.Time
-	At(t sim.Time, fn func())
-	After(d sim.Time, fn func())
-}
-
 // Sender is the stop-and-wait transmitter. All methods must run on the
-// timeline's thread.
+// scheduler's thread — the alternating-bit state machines are
+// single-threaded by design.
 type Sender struct {
-	sched    Timeline
+	sched    *sim.Scheduler
 	transmit func(Frame)
 	rto      sim.Time
 
@@ -44,7 +33,7 @@ type Sender struct {
 
 // NewSender builds a sender that transmits frames through transmit and
 // retransmits every rto ticks until acknowledged.
-func NewSender(sched Timeline, rto sim.Time, transmit func(Frame)) *Sender {
+func NewSender(sched *sim.Scheduler, rto sim.Time, transmit func(Frame)) *Sender {
 	return &Sender{sched: sched, transmit: transmit, rto: rto}
 }
 
@@ -71,15 +60,6 @@ func (s *Sender) emit(gen int) {
 	}
 	s.transmit(Frame{Bit: s.bit, Payload: s.queue[0]})
 	s.sched.After(s.rto, func() { s.emit(gen) })
-}
-
-// Stop abandons the queue and halts retransmission: the generation bump
-// invalidates every scheduled emit closure, so no further frames leave.
-// Used when the channel's endpoint is torn down (peer unregistered).
-func (s *Sender) Stop() {
-	s.inflight = false
-	s.queue = nil
-	s.gen++
 }
 
 // OnAck processes an acknowledgement; a stale bit is ignored (it
@@ -127,7 +107,7 @@ func (r *Receiver) OnFrame(f Frame) {
 // the paper's "(1-bit) sequence number" fixes exactly the loss/duplication
 // adversary.) Randomness comes from the scheduler's seeded generator, so
 // runs are reproducible.
-func Lossy(sched Timeline, rng *rand.Rand, loss, dup float64, minD, maxD sim.Time, deliver func(any)) func(any) {
+func Lossy(sched *sim.Scheduler, rng *rand.Rand, loss, dup float64, minD, maxD sim.Time, deliver func(any)) func(any) {
 	span := int64(maxD - minD + 1)
 	var last sim.Time
 	post := func(p any) {
@@ -152,7 +132,7 @@ func Lossy(sched Timeline, rng *rand.Rand, loss, dup float64, minD, maxD sim.Tim
 // Pair wires a bidirectional ABP channel across a lossy link and returns
 // the application-level send function. Payloads handed to send come out of
 // deliver exactly once, in order, despite loss/duplication/reordering.
-func Pair(sched Timeline, rng *rand.Rand, loss, dup float64, minD, maxD sim.Time, rto sim.Time, deliver func(any)) (send func(any), sender *Sender) {
+func Pair(sched *sim.Scheduler, rng *rand.Rand, loss, dup float64, minD, maxD sim.Time, rto sim.Time, deliver func(any)) (send func(any), sender *Sender) {
 	var recv *Receiver
 	// Forward path: frames from sender to receiver.
 	frameOut := Lossy(sched, rng, loss, dup, minD, maxD, func(p any) {

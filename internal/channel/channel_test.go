@@ -139,29 +139,3 @@ func TestRetransmissionOnSilence(t *testing.T) {
 		t.Error("retransmissions continued after the ack")
 	}
 }
-
-func TestSenderStopHaltsRetransmission(t *testing.T) {
-	// A stopped sender (its endpoint torn down) must abandon its queue
-	// and never transmit again, even with retransmission timers pending.
-	sched := sim.NewScheduler(1)
-	transmitted := 0
-	s := NewSender(sched, 10, func(Frame) { transmitted++ })
-	sched.At(0, func() {
-		s.Send(1)
-		s.Send(2)
-	})
-	sched.At(25, func() { s.Stop() }) // after ~3 transmissions of frame 1
-	sched.RunUntil(500)
-	if s.Pending() != 0 {
-		t.Errorf("stopped sender still has %d pending", s.Pending())
-	}
-	atStop := transmitted
-	sched.RunUntil(1000)
-	if transmitted != atStop {
-		t.Errorf("sender transmitted %d frames after Stop", transmitted-atStop)
-	}
-	// Frame 2 must never have left: only frame-1 retransmissions ran.
-	if transmitted == 0 || transmitted > 4 {
-		t.Errorf("transmitted %d frames before Stop, want 1-4 retries of the first", transmitted)
-	}
-}

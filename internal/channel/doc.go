@@ -6,6 +6,8 @@
 // a frame exactly once, in order, over a link that may lose, duplicate and
 // reorder. The rest of the repository runs over netsim's already-FIFO
 // channels; this package exists because the paper's model explicitly calls
-// for the layer, and its tests demonstrate that the assumption is
-// implementable rather than assumed.
+// for the layer, and its tests demonstrate, on the simulator's
+// deterministic scheduler, that the assumption is implementable rather
+// than assumed. The live stream plane gets the same property from TCP and
+// checks it with per-channel mux sequences (internal/transport).
 package channel

@@ -69,37 +69,6 @@ func TestTCPChurnSatisfiesGMP(t *testing.T) {
 	}
 }
 
-// TestLossyClusterConverges boots the group over the adversarial datagram
-// link repaired by the alternating-bit channel layer and excludes a killed
-// member — the paper's §3 substrate claim, end-to-end under churn.
-func TestLossyClusterConverges(t *testing.T) {
-	if testing.Short() {
-		t.Skip("lossy-link soak skipped in -short mode")
-	}
-	c := Start(Options{
-		N:              3,
-		HeartbeatEvery: 25 * time.Millisecond,
-		SuspectAfter:   250 * time.Millisecond,
-		Transport: transport.NewLossy(transport.LossyOptions{
-			Loss: 0.05, Dup: 0.02,
-			MinDelay: time.Millisecond, MaxDelay: 3 * time.Millisecond,
-			RTO: 8 * time.Millisecond, Seed: 3,
-		}),
-	})
-	defer c.Stop()
-	if _, err := c.WaitConverged(20 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	c.Kill(ids.Named("p3"))
-	v, err := c.WaitConverged(30 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Has(ids.Named("p3")) || v.Size() != 2 {
-		t.Errorf("view after kill over lossy link: %v", v)
-	}
-}
-
 // TestDroppedCountsOverflow overflows a 1-slot updates stream with nobody
 // draining it: the cluster must keep converging and account for every
 // install it could not publish.

@@ -17,7 +17,7 @@ func TestChaosFIFOUnderJitter(t *testing.T) {
 		Default: ChaosLink{Jitter: 3 * time.Millisecond},
 	})
 	defer tr.Close()
-	checkFIFO(t, tr, 500, 20*time.Second)
+	checkFIFO(t, tr, 500, 20*time.Second, fifoN)
 }
 
 func TestChaosCleanLinkIsTransparent(t *testing.T) {
@@ -25,7 +25,7 @@ func TestChaosCleanLinkIsTransparent(t *testing.T) {
 	// transport with no delay line and no injected drops.
 	tr := NewChaos(NewInmem(), ChaosOptions{})
 	defer tr.Close()
-	checkFIFO(t, tr, 200, 2*time.Second)
+	checkFIFO(t, tr, 200, 2*time.Second, fifoN)
 	if got := tr.Stats().ChaosInjected; got != 0 {
 		t.Errorf("clean chaos injected %d drops", got)
 	}

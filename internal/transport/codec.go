@@ -16,7 +16,7 @@ import (
 
 // Frame is the unit of the wire codec: one message on one directed
 // channel, self-contained so it can travel over a byte stream (TCP) or a
-// datagram link (Lossy) alike.
+// datagram (UDP) alike.
 type Frame struct {
 	From  string // ids.ProcID.String() of the sender
 	To    string // ids.ProcID.String() of the destination

@@ -78,12 +78,12 @@ func TestUnencodablePayloadIsOneCountedDrop(t *testing.T) {
 		t.Fatalf("encode error = %v, want one naming the payload type", err)
 	}
 	for _, tc := range []struct {
-		name string
-		tr   Transport
+		name   string
+		tr     Transport
+		behind Message // an encodable frame the plane delivers
 	}{
-		{"tcp", NewTCP()},
-		{"udp", NewUDP()},
-		{"lossy", NewLossy(LossyOptions{})},
+		{"tcp", NewTCP(), Message{MsgID: 2, Payload: fifoPayload{N: 2}}},
+		{"udp", NewUDP(), Message{Payload: hb{}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer tc.tr.Close()
@@ -99,13 +99,13 @@ func TestUnencodablePayloadIsOneCountedDrop(t *testing.T) {
 			waitFor(t, 5*time.Second, func() bool { return tc.tr.Stats().Dropped() >= 1 }, "the counted drop")
 			// A frame behind it on the same channel still travels: the
 			// bad one was skipped, not wedged in a queue.
-			tc.tr.Send(a, b, Message{MsgID: 2, Payload: fifoPayload{N: 2}})
+			tc.tr.Send(a, b, tc.behind)
 			waitFor(t, 10*time.Second, func() bool { return s.len() >= 1 }, "the frame behind it")
 			if st := tc.tr.Stats(); st.WriteFailed != 1 || st.Dropped() != 1 {
 				t.Errorf("stats = %+v, want exactly one WriteFailed drop", st)
 			}
-			if s.len() != 1 || s.msg(0).MsgID != 2 {
-				t.Errorf("handler saw %d messages (first MsgID %d), want only the encodable one", s.len(), s.msg(0).MsgID)
+			if s.len() != 1 || s.msg(0) != tc.behind {
+				t.Errorf("handler saw %d messages (first %+v), want only %+v", s.len(), s.msg(0), tc.behind)
 			}
 		})
 	}

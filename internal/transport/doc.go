@@ -1,37 +1,39 @@
 // Package transport is the pluggable message substrate of the live
 // runtime: it moves protocol payloads between registered processes while
 // preserving the per-channel FIFO order the paper's model assumes (§2.1).
-// The live cluster speaks only the Transport interface; the concrete
-// implementations are
+// The live cluster speaks only the Transport interface. Three
+// compositions are supported:
 //
-//   - Inmem: direct in-process delivery, the seed's original behavior and
-//     the default for tests and single-process deployments;
-//   - TCP: real sockets on loopback or a LAN, one multiplexed
-//     length-prefixed binary stream per unordered peer pair
-//     (channel-tagged frames, per-channel FIFO queues drained by one
-//     writer into vectored batches, decoded by a channel-sharded reader
-//     pool), with reconnect — the paper's asynchronous network made
-//     literal;
-//   - UDP: one datagram per frame — no ordering, no retransmission, no
-//     backpressure. The wrong contract for protocol traffic and exactly
-//     the right one for beacons, whose information content is their
-//     arrival time: a drop costs one idempotent sample, while queueing
-//     delay (what a shared stream imposes) distorts every inter-arrival
-//     the failure detector fits (DESIGN.md §9);
-//   - TwoPlane: the composition that routes beacon-class payloads to a
-//     datagram plane and everything else to a stream plane, so beacons
-//     never queue behind protocol traffic (BeaconPlaner exposes the
-//     plane to tests and tools);
-//   - Lossy: an adversarial datagram link (loss, duplication, delay)
-//     repaired by the alternating-bit protocol of internal/channel — the
-//     paper's §3 claim that reliable FIFO channels are implementable
-//     rather than assumed, demonstrated end-to-end;
-//   - Chaos: a wrapper that degrades any of the above — including UDP —
-//     with per-link delay, jitter, beacon loss, burst outages and
-//     asymmetric partitions, reconfigurable at runtime — the live chaos
-//     harness that opens the simulator's adversity space
+//   - Inmem: direct in-process delivery, for tests and single-process
+//     deployments;
+//   - TwoPlane(TCP, UDP): the network wire. TwoPlane routes beacon-class
+//     payloads to a datagram plane and everything else to a stream
+//     plane, so beacons never queue behind protocol traffic
+//     (BeaconPlaner exposes the plane to tests and tools). The stream
+//     plane, TCP, runs one multiplexed length-prefixed binary stream per
+//     unordered peer pair (channel-tagged frames, per-channel FIFO queues
+//     drained by one writer into vectored batches, decoded inline by the
+//     connection's reader), with reconnect — the paper's asynchronous
+//     network made literal. The beacon plane, UDP, sends one datagram
+//     per frame — no ordering, no retransmission, no backpressure. That
+//     is exactly the right contract for beacons, whose information
+//     content is their arrival time: a drop costs one idempotent sample,
+//     while queueing delay (what a shared stream imposes) distorts every
+//     inter-arrival the failure detector fits (DESIGN.md §9). It is the
+//     wrong one for protocol traffic, so the UDP receiver delivers
+//     beacons only. Neither plane is a group wire alone: stream-only
+//     TCP falsely excludes a member whose beacons queue behind its own
+//     bulk traffic (EXPERIMENTS.md E18), and bare UDP breaks FIFO;
+//   - Chaos: a wrapper that degrades either of the above — or one plane
+//     of the wire — with per-link delay, jitter, beacon loss, burst
+//     outages and asymmetric partitions, reconfigurable at runtime — the
+//     live chaos harness that opens the simulator's adversity space
 //     (internal/netsim) to the goroutine runtime, used by E16's
 //     failure-detector A/B.
+//
+// The paper's §3 claim that reliable FIFO channels are implementable over
+// a lossy, duplicating link is proven by internal/channel under the
+// simulator, not by a live transport.
 //
 // Every implementation shares datagram-drop semantics for dead hosts
 // (silence is the failure detector's problem, §2.2) and per-reason drop

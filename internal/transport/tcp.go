@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,11 +46,6 @@ type TCP struct {
 	// every (rare) mutation, so the Send fast path resolves its mux with
 	// one atomic load instead of an RWMutex round trip per frame.
 	pairsSnap atomic.Pointer[map[pairKey]*pairMux]
-
-	// shards is the decode worker pool (nil when tcpReadShards ≤ 1 and
-	// connections decode inline on their read goroutine). See readShard.
-	shards  []*readShard
-	shardWg sync.WaitGroup
 }
 
 // chanKey names one directed channel.
@@ -83,15 +77,6 @@ type tcpEndpoint struct {
 // (A var, not a const, so saturation tests can lower it.)
 var tcpQueueDepth = 1024
 
-// tcpReadShards sets the decode fan-out of transports built after it:
-// inbound frames are decoded by this many worker goroutines instead of
-// on each connection's read goroutine, so decode work scales with the
-// cores available. At 1 (any single-core box) the pool is skipped
-// entirely — a per-frame goroutine handoff on one core only adds
-// scheduling latency. (A var, not a const, so tests can force the
-// sharded path regardless of GOMAXPROCS.)
-var tcpReadShards = min(runtime.GOMAXPROCS(0), 16)
-
 // tcpPostDialHook, when non-nil (tests only), runs in ensureConn after
 // the dial and hello succeed but before the pair state is re-examined —
 // the simultaneous-open window, made steerable so the adopt/ensureConn
@@ -103,22 +88,12 @@ func NewTCP() *TCP { return NewTCPHost("127.0.0.1") }
 
 // NewTCPHost builds a TCP transport binding listeners on host.
 func NewTCPHost(host string) *TCP {
-	t := &TCP{
+	return &TCP{
 		host:   host,
 		addrs:  make(map[ids.ProcID]string),
 		locals: make(map[ids.ProcID]*tcpEndpoint),
 		pairs:  make(map[pairKey]*pairMux),
 	}
-	if n := tcpReadShards; n > 1 {
-		t.shards = make([]*readShard, n)
-		for i := range t.shards {
-			sh := &readShard{ch: make(chan shardItem, 256)}
-			t.shards[i] = sh
-			t.shardWg.Add(1)
-			go t.runShard(sh)
-		}
-	}
-	return t
 }
 
 // AddPeer introduces a remote process reachable at addr, for deployments
@@ -329,12 +304,6 @@ func (t *TCP) Close() error {
 		m.stop()
 	}
 	t.wg.Wait()
-	// Readers are gone, so nothing can enqueue into the shard pool; let
-	// the workers drain what is in flight and exit.
-	for _, sh := range t.shards {
-		close(sh.ch)
-	}
-	t.shardWg.Wait()
 	return nil
 }
 
@@ -356,76 +325,37 @@ func (t *TCP) accept(ep *tcpEndpoint) {
 }
 
 // readConn drains one connection — accepted (ep non-nil) or dialed by a
-// pair writer (m non-nil) — routing each frame to the addressed local
-// handler. The stream is buffered, so a frame costs amortized fractions
-// of a read syscall rather than two. A muxHello adopts the connection
-// into its pair's mux so the accepting side can send on the same socket.
-//
-// With a shard pool (multi-core), the reader only frames the stream: it
-// peeks each frame's channel identifiers, hashes them, and hands the raw
-// body to that channel's decode shard. One channel always maps to one
-// shard, so the §2.1 per-channel FIFO survives the fan-out; distinct
-// channels decode concurrently. Without a pool the reader decodes
-// inline, exactly the single-core-optimal path.
+// pair writer (m non-nil) — decoding each frame on this goroutine and
+// routing it to the addressed local handler. The stream is buffered, so a
+// frame costs amortized fractions of a read syscall rather than two. A
+// muxHello adopts the connection into its pair's mux so the accepting
+// side can send on the same socket.
 func (t *TCP) readConn(c net.Conn, ep *tcpEndpoint, m *pairMux) {
 	defer t.wg.Done()
 	fr := newFrameReader(bufio.NewReaderSize(c, 128<<10))
-	shards := t.shards
-	var states []*routeState
-	if len(shards) > 0 {
-		// Per-connection, per-shard routing state: shard i is the only
-		// goroutine that ever touches states[i].
-		states = make([]*routeState, len(shards))
-		for i := range states {
-			states[i] = newRouteState()
-		}
-	}
-	var rs *routeState
-	if len(shards) == 0 {
-		rs = newRouteState()
-	}
+	rs := newRouteState()
 	for {
 		body, err := fr.readBody()
 		if err != nil {
 			break // EOF on peer close, or framing corruption: abandon the stream
 		}
-		if len(body) == 0 {
+		fr.dec.reset(body)
+		f, err := decodeFrame(&fr.dec)
+		if err != nil {
 			t.stats.drop(dropDecodeFailed)
 			break
 		}
-		if len(shards) == 0 || body[0] == kindMuxHello {
-			// Single-core path: decode and route inline — the frame stays
-			// on this goroutine's stack. Hellos decode inline even with
-			// shards (the only frames that do, so rs is never needed
-			// there): a hello must adopt before later frames dispatch.
-			fr.dec.reset(body)
-			f, err := decodeFrame(&fr.dec)
-			if err != nil {
-				t.stats.drop(dropDecodeFailed)
+		if _, hello := f.Body.(muxHello); hello {
+			mm, keep := t.adopt(f, c)
+			if !keep {
 				break
 			}
-			if _, hello := f.Body.(muxHello); hello {
-				mm, keep := t.adopt(f, c)
-				if !keep {
-					break
-				}
-				if mm != nil {
-					m = mm
-				}
-				continue
+			if mm != nil {
+				m = mm
 			}
-			t.route(f, rs)
 			continue
 		}
-		h, ok := chanShard(body)
-		if !ok {
-			t.stats.drop(dropDecodeFailed)
-			break
-		}
-		idx := int(h % uint32(len(shards)))
-		bp := shardBufs.Get().(*[]byte)
-		*bp = append((*bp)[:0], body...)
-		shards[idx].ch <- shardItem{body: bp, rs: states[idx], conn: c}
+		t.route(f, rs)
 	}
 	if m != nil {
 		m.dropConn(c)
@@ -436,74 +366,11 @@ func (t *TCP) readConn(c net.Conn, ep *tcpEndpoint, m *pairMux) {
 	c.Close()
 }
 
-// readShard is one decode worker: a FIFO of raw frame bodies drained by
-// one goroutine, so everything dispatched to a shard stays in dispatch
-// order.
-type readShard struct {
-	ch chan shardItem
-}
-
-// shardItem is one inbound frame in flight to its decode shard: a raw
-// pooled body. rs is the dispatching connection's routing state for this
-// shard; conn lets the worker kill the stream on decode failure.
-type shardItem struct {
-	body *[]byte
-	rs   *routeState
-	conn net.Conn
-}
-
-// shardBufs pools raw frame bodies between connection readers and decode
-// shards.
-var shardBufs = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
-
-// runShard decodes and routes frames for one shard.
-func (t *TCP) runShard(sh *readShard) {
-	defer t.shardWg.Done()
-	var d Decoder
-	d.intern = make(map[string]string)
-	for it := range sh.ch {
-		d.reset(*it.body)
-		f, err := decodeFrame(&d)
-		shardBufs.Put(it.body)
-		if err != nil {
-			// Undecodable bytes mean the stream can no longer be trusted;
-			// closing the conn unwinds its reader, mirroring the inline
-			// path's abandon-on-corruption.
-			t.stats.drop(dropDecodeFailed)
-			it.conn.Close()
-			continue
-		}
-		t.route(f, it.rs)
-	}
-}
-
-// chanShard extracts the From/To identifier bytes of a binary frame body
-// without decoding it and hashes them, so a reader can pick the frame's
-// decode shard. Every frame of one directed channel hashes identically —
-// per-channel FIFO is preserved across the fan-out.
-func chanShard(body []byte) (uint32, bool) {
-	off := 1 // skip the kind tag; two uvarint-length-prefixed strings follow
-	h := uint32(2166136261)
-	for i := 0; i < 2; i++ {
-		n, w := binary.Uvarint(body[off:])
-		if w <= 0 || n > uint64(len(body)-off-w) {
-			return 0, false
-		}
-		off += w
-		for _, b := range body[off : off+int(n)] {
-			h = (h ^ uint32(b)) * 16777619
-		}
-		off += int(n)
-	}
-	return h, true
-}
-
 // routeState caches one inbound goroutine's routing lookups so the
 // steady-state read path avoids a string-keyed map hash and an RWMutex
-// round per frame. An instance is confined to a single goroutine's view
-// of a single connection: the connection reader (inline decode) or one
-// decode shard, and dies with the connection — which is what starts the
-// FIFO check fresh across a reconnect.
+// round per frame. An instance is confined to one connection's reader
+// and dies with the connection — which is what starts the FIFO check
+// fresh across a reconnect.
 type routeState struct {
 	seqs  map[chanKey]*uint64 // per-channel mux sequence floor
 	lastK chanKey             // cache of the channel the previous frame used

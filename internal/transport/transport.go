@@ -80,8 +80,9 @@ type Stats struct {
 	// oversize frames as WriteFailed before any bytes move).
 	Truncated int64
 	// DecodeFailed counts inbound frames discarded because their bytes did
-	// not parse — corruption, version skew, or garbage aimed at the port.
-	// The sender is unknown by definition, so these cannot be attributed
+	// not parse — corruption, version skew, or garbage aimed at the port —
+	// or, on the datagram plane, parsed as something other than a beacon.
+	// The sender is unknown or untrusted, so these cannot be attributed
 	// to a channel.
 	DecodeFailed int64
 	// SuspicionFrames counts outbound frames whose payload disseminates

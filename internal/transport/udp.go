@@ -18,7 +18,8 @@ import (
 // arrival TIME, a lost one costs a fraction of a detector sample, but a
 // queued one poisons the inter-arrival fit with delay the peer never
 // exhibited. TwoPlane composes this plane under a stream plane so each
-// traffic class gets the semantics it needs.
+// traffic class gets the semantics it needs, and the receive side holds
+// it to that: a datagram carrying anything but a beacon is dropped.
 //
 // Frames travel as bare codec bodies (no length prefix — the datagram
 // boundary frames them) with Seq always 0: there is no mux and no
@@ -284,10 +285,19 @@ func (t *UDP) readLoop(ep *udpEndpoint) {
 }
 
 // deliver routes one decoded datagram to the endpoint that received it.
-// A frame addressed to some other process is dropped, not misdelivered
-// — the port-reuse hazard: after a process dies, the OS can hand its
-// port to a new socket while senders still target the stale address.
+// Only beacon-class frames are delivered: any other kind belongs on the
+// stream plane, whose per-channel mux sequence check is what §2.1's FIFO
+// rests on, so a protocol frame arriving as a datagram is counted as
+// DecodeFailed and dropped. A frame addressed to some other process is
+// dropped, not misdelivered — the port-reuse hazard: after a process
+// dies, the OS can hand its port to a new socket while senders still
+// target the stale address.
 func (t *UDP) deliver(ep *udpEndpoint, f Frame) {
+	m := Message{MsgID: f.MsgID, Payload: f.Body}
+	if !isBeacon(m) {
+		t.stats.drop(dropDecodeFailed)
+		return
+	}
 	from, err := ids.Parse(f.From)
 	if err != nil {
 		t.stats.drop(dropDecodeFailed)
@@ -304,7 +314,7 @@ func (t *UDP) deliver(ep *udpEndpoint, f Frame) {
 	if local != ep {
 		return // misaddressed: stale port reuse or stray traffic
 	}
-	ep.h(from, Message{MsgID: f.MsgID, Payload: f.Body})
+	ep.h(from, m)
 }
 
 // Stats implements Transport. ConnsOpen stays 0: the plane is

@@ -7,12 +7,15 @@ import (
 	"testing"
 	"time"
 
+	"procgroup/internal/core"
 	"procgroup/internal/ids"
 )
 
-// TestUDPDelivery: frames cross the datagram plane intact — identity,
-// MsgID, payload. Loopback UDP does not reorder in practice, but the
-// test only demands arrival, matching the plane's best-effort contract.
+// TestUDPDelivery: beacons cross the datagram plane intact — identity
+// and payload — and nothing else does: a protocol frame sent as a
+// datagram is refused at the receiver. Loopback UDP does not reorder in
+// practice, but the test only demands arrival of the beacon, matching
+// the plane's best-effort contract.
 func TestUDPDelivery(t *testing.T) {
 	tr := NewUDP()
 	defer tr.Close()
@@ -25,19 +28,50 @@ func TestUDPDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.Send(a, b, Message{MsgID: 7, Payload: fifoPayload{N: 3}})
-	waitFor(t, 5*time.Second, func() bool { return s.len() >= 1 }, "datagram delivery")
-	m := s.msg(0)
-	if m.MsgID != 7 {
-		t.Errorf("MsgID = %d, want 7", m.MsgID)
+	tr.Send(a, b, Message{Payload: hb{}})
+	waitFor(t, 5*time.Second, func() bool { return s.len() >= 1 }, "beacon delivery")
+	time.Sleep(20 * time.Millisecond) // give the protocol frame time to (not) arrive
+	if s.len() != 1 {
+		t.Fatalf("delivered %d datagrams, want only the beacon", s.len())
 	}
-	if p, ok := m.Payload.(fifoPayload); !ok || p.N != 3 {
-		t.Errorf("payload = %#v, want fifoPayload{N: 3}", m.Payload)
+	if _, ok := s.msg(0).Payload.(hb); !ok {
+		t.Errorf("payload = %#v, want hb{}", s.msg(0).Payload)
 	}
 	s.mu.Lock()
 	from := s.from[0]
 	s.mu.Unlock()
 	if from != a {
 		t.Errorf("from = %v, want %v", from, a)
+	}
+}
+
+// TestUDPNonBeaconDatagramCountsDecodeFailed: a decodable protocol frame
+// arriving on the datagram plane bypasses the stream plane's per-channel
+// mux sequence check, so the receiver counts it as DecodeFailed and
+// drops it; a beacon on the same socket still arrives.
+func TestUDPNonBeaconDatagramCountsDecodeFailed(t *testing.T) {
+	tr := NewUDP()
+	defer tr.Close()
+	a, b := ids.Named("a"), ids.Named("b")
+	var s sink
+	if err := tr.Register(a, func(ids.ProcID, Message) {}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Register(b, s.handler); err != nil {
+		t.Fatal(err)
+	}
+	tr.Send(a, b, Message{MsgID: 7, Payload: core.OK{Ver: 3}})
+	waitFor(t, 5*time.Second, func() bool { return tr.Stats().DecodeFailed >= 1 }, "decode-failed count")
+	tr.Send(a, b, Message{Payload: hb{}})
+	waitFor(t, 5*time.Second, func() bool { return s.len() >= 1 }, "beacon after the refused frame")
+	if s.len() != 1 {
+		t.Fatalf("delivered %d datagrams, want only the beacon", s.len())
+	}
+	if _, ok := s.msg(0).Payload.(hb); !ok {
+		t.Errorf("payload = %#v, want hb{}", s.msg(0).Payload)
+	}
+	if got := tr.Stats().DecodeFailed; got != 1 {
+		t.Errorf("DecodeFailed = %d, want 1", got)
 	}
 }
 
@@ -149,12 +183,12 @@ func TestUDPMisaddressedDatagramDropped(t *testing.T) {
 	if err := tr.AddPeer(c, addr); err != nil {
 		t.Fatal(err)
 	}
-	tr.Send(a, c, Message{MsgID: 1, Payload: fifoPayload{N: 9}})
-	tr.Send(a, b, Message{MsgID: 2, Payload: fifoPayload{N: 2}}) // control frame
+	tr.Send(a, c, Message{Payload: hb{}})
+	tr.Send(a, b, Message{Payload: hb{}}) // control frame
 	waitFor(t, 5*time.Second, func() bool { return s.len() >= 1 }, "control frame")
 	time.Sleep(20 * time.Millisecond) // give the misaddressed frame time to (not) arrive
-	if s.len() != 1 || s.msg(0).MsgID != 2 {
-		t.Fatalf("misaddressed datagram reached b's handler: %d messages, first MsgID %d", s.len(), s.msg(0).MsgID)
+	if s.len() != 1 {
+		t.Fatalf("misaddressed datagram reached b's handler: %d messages, want only the control frame", s.len())
 	}
 }
 
@@ -182,7 +216,7 @@ func TestUDPGarbageDatagramCountsDecodeFailed(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 5*time.Second, func() bool { return tr.Stats().DecodeFailed >= 1 }, "decode-failed count")
-	tr.Send(a, b, Message{MsgID: 1, Payload: fifoPayload{}}) // socket must still be alive
+	tr.Send(a, b, Message{Payload: hb{}}) // socket must still be alive
 	waitFor(t, 5*time.Second, func() bool { return s.len() >= 1 }, "delivery after garbage")
 }
 
@@ -199,10 +233,10 @@ func TestUDPUnregisterSilencesEndpoint(t *testing.T) {
 	if err := tr.Register(b, s.handler); err != nil {
 		t.Fatal(err)
 	}
-	tr.Send(a, b, Message{MsgID: 1, Payload: fifoPayload{}})
+	tr.Send(a, b, Message{Payload: hb{}})
 	waitFor(t, 5*time.Second, func() bool { return s.len() >= 1 }, "pre-unregister delivery")
 	tr.Unregister(b)
-	tr.Send(a, b, Message{MsgID: 2, Payload: fifoPayload{}})
+	tr.Send(a, b, Message{Payload: hb{}})
 	time.Sleep(20 * time.Millisecond)
 	if s.len() != 1 {
 		t.Errorf("delivery after Unregister: %d messages", s.len())

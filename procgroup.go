@@ -47,21 +47,6 @@ type (
 	// TransportStats is a transport's per-reason drop accounting, read
 	// from a live group with Group.TransportStats.
 	TransportStats = transport.Stats
-	// TCPTransport runs the group's channels over real TCP sockets.
-	TCPTransport = transport.TCP
-	// UDPTransport is the connectionless datagram plane: one socket per
-	// process, one datagram per frame, no queues. Built by
-	// NewUDPTransport; usually composed under a TwoPlaneTransport as
-	// the beacon plane rather than used alone.
-	UDPTransport = transport.UDP
-	// TwoPlaneTransport splits a group's traffic by class: beacons ride
-	// a dedicated datagram plane, protocol messages the stream plane.
-	// Built by NewUDPBeaconTransport (or NewTwoPlaneTransport for
-	// custom plane pairings).
-	TwoPlaneTransport = transport.TwoPlane
-	// LossyTransportOptions shapes the adversarial datagram link of
-	// NewLossyTransport.
-	LossyTransportOptions = transport.LossyOptions
 	// DetectorFactory selects a live group's failure-detection policy
 	// (F1, §2.2): set it on GroupOptions.Detector. Nil keeps the fixed
 	// SuspectAfter timeout.
@@ -100,51 +85,21 @@ type (
 // (StartGroup uses one automatically when GroupOptions.Transport is nil).
 func NewInmemTransport() Transport { return transport.NewInmem() }
 
-// NewTCPTransport builds a transport running the group's channels over
-// real TCP sockets on loopback — the paper's asynchronous network of
-// reliable FIFO channels (§2.1) made literal. Every unordered peer pair
-// shares one multiplexed connection carrying channel-tagged binary
-// frames, dialed lazily on first use: under all-to-all monitoring an
-// n-process group settles at n(n−1)/2 sockets, under NewRingTopology(k)
-// at ~n·k (TransportStats().ConnsOpen measures it). Use the returned
-// value's AddPeer/Addr to span OS processes or hosts.
-func NewTCPTransport() *TCPTransport { return transport.NewTCP() }
-
-// NewUDPTransport builds the bare datagram plane on loopback: sends are
-// fire-and-forget datagrams with no connections and no backpressure.
-// It satisfies the Transport contract but deliberately provides only
-// best-effort ordering, so it suits order-free traffic (beacons) —
-// compose it under NewUDPBeaconTransport for a full group substrate.
-func NewUDPTransport() *UDPTransport { return transport.NewUDP() }
-
-// NewUDPBeaconTransport composes stream with a fresh loopback UDP
-// datagram plane into a two-plane substrate: heartbeats bypass the
-// stream plane's queues and connections entirely, so a neighbor
-// saturating its link cannot delay — and thereby distort — the timing
-// evidence the failure detector runs on. When stream is nil a loopback
-// TCP transport is used. The live runtime emits beacons cadence-pure
-// (every interval) on any transport; on this one they also never queue
-// behind protocol traffic, giving adaptive detectors the cleanest
-// possible inter-arrival samples.
-func NewUDPBeaconTransport(stream Transport) *TwoPlaneTransport {
-	if stream == nil {
-		stream = transport.NewTCP()
-	}
-	return transport.NewTwoPlane(stream, transport.NewUDP())
+// NewUDPBeaconTransport builds the network wire: a loopback TCP stream
+// plane for protocol traffic under a UDP datagram plane for beacons. It
+// is the only network transport a group should run on. Either plane
+// alone is wrong for a group: on a stream-only TCP wire a member's
+// beacons queue behind its own bulk traffic, so its monitor reads the
+// queueing delay as silence and falsely excludes a healthy member
+// (EXPERIMENTS.md E18); bare UDP breaks the reliable FIFO channels of
+// §2.1 that the protocol assumes. Here protocol frames keep TCP's
+// checked per-channel FIFO while heartbeats bypass its queues and
+// connections entirely, so a neighbor saturating its link cannot delay
+// — and thereby distort — the timing evidence the failure detector runs
+// on.
+func NewUDPBeaconTransport() Transport {
+	return transport.NewTwoPlane(transport.NewTCP(), transport.NewUDP())
 }
-
-// NewTwoPlaneTransport composes an explicit stream plane and beacon
-// plane — e.g. to wrap either plane in NewChaosTransport and degrade
-// one traffic class without the other.
-func NewTwoPlaneTransport(stream, beacon Transport) *TwoPlaneTransport {
-	return transport.NewTwoPlane(stream, beacon)
-}
-
-// NewLossyTransport builds a transport whose links lose, duplicate and
-// delay datagrams, repaired per channel by the alternating-bit protocol —
-// the §3 claim that the reliable-FIFO channel assumption is implementable,
-// demonstrated under the live cluster.
-func NewLossyTransport(opts LossyTransportOptions) Transport { return transport.NewLossy(opts) }
 
 // NewFixedTimeoutDetector selects the classic fixed-threshold failure
 // detector: suspect a member once its silence exceeds after. This is the

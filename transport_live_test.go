@@ -1,9 +1,9 @@
 package procgroup_test
 
-// End-to-end tests of the live group over the pluggable transports: the
-// paper's deployment target (§2.1's asynchronous network of reliable FIFO
-// channels) realized with real TCP sockets on loopback, with the agreed
-// view sequence verified by ViewWatcher.
+// End-to-end tests of the live group over the network wire: the paper's
+// deployment target (§2.1's asynchronous network of reliable FIFO
+// channels) realized with real TCP sockets on loopback, heartbeats on UDP
+// beside them, with the agreed view sequence verified by ViewWatcher.
 
 import (
 	"testing"
@@ -12,18 +12,19 @@ import (
 	"procgroup"
 )
 
-// tcpGroup boots n live nodes over real TCP loopback sockets.
+// tcpGroup boots n live nodes over the loopback network wire: protocol
+// traffic on TCP sockets, beacons on UDP.
 func tcpGroup(n int) *procgroup.Group {
 	return procgroup.StartGroup(procgroup.GroupOptions{
 		N:              n,
 		HeartbeatEvery: 15 * time.Millisecond,
 		SuspectAfter:   150 * time.Millisecond,
-		Transport:      procgroup.NewTCPTransport(),
+		Transport:      procgroup.NewUDPBeaconTransport(),
 	})
 }
 
 // TestTCPGroupChurnInstallsAgreedViewSequence is the transport tentpole's
-// acceptance scenario: a 5-node group over TCP survives a join followed by
+// acceptance scenario: a 5-node group over the TCP+UDP wire survives a join followed by
 // two crashes (one of them the coordinator) and installs one agreed,
 // gap-free view sequence, observed through ViewWatcher.
 func TestTCPGroupChurnInstallsAgreedViewSequence(t *testing.T) {
