@@ -9,8 +9,8 @@
 //	gmpbench -seed 7      # change the schedule seed
 //	gmpbench -exp transport -transport-out BENCH_transport.json
 //	                      # E15 wire-path microbenches, machine-readable
-//	gmpbench -exp fd -fd-out BENCH_fd.json
-//	                      # E16 failure-detector A/B under live chaos
+//	gmpbench -exp qos -qos-out BENCH_fd.json
+//	                      # E22 detector QoS under hostile timing
 //	gmpbench -exp scale -scale-out BENCH_scale.json
 //	                      # E17 monitoring-topology sweep (Full vs RingK)
 package main
@@ -33,10 +33,9 @@ func main() {
 		os.Exit(runMember(os.Args[2:]))
 	}
 	forceMultiProc()
-	exp := flag.String("exp", "all", "experiment to run: all, table1, complexity, worstcase, figures, claims, churn, cuts, ablation, transport, saturation, fd, scale, kv")
+	exp := flag.String("exp", "all", "experiment to run: all, table1, complexity, worstcase, figures, claims, churn, cuts, ablation, transport, saturation, qos, scale, kv")
 	seed := flag.Int64("seed", 1, "schedule seed")
 	flag.StringVar(&transportOut, "transport-out", "", "write the transport experiment's results as JSON to this path (e.g. BENCH_transport.json)")
-	fdFlags()
 	scaleFlags()
 	mprocFlags()
 	satFlags()
@@ -79,7 +78,6 @@ func main() {
 		satPerf()
 		fmt.Println()
 	}
-	run("fd", fdPerf)
 	run("qos", qosPerf)
 	run("scale", scalePerf)
 	run("kv", kvPerf)

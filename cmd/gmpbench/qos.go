@@ -1,14 +1,14 @@
-// E22: hostile-timing QoS battery for the failure-detection stack. E16
-// scored detectors under stationary link chaos; this experiment drives
-// the three timing regimes that actually produced the false-suspicion
-// cascade (§4.3) in earlier PRs — links flapping right at the detection
-// threshold, stall-and-recover freezes (the GC-pause profile, injected
-// with transport.Chaos.StallProcess so §2.1's reliable channels hold),
-// and a coordinated churn storm of one site rebirthing as fast as the
-// group will let it — across the detector × hysteresis matrix, with the
-// readmission governor metering the rebirth storms. Scored in the
-// Chen/Toueg QoS vocabulary: detection time (real kills), mistake rate
-// and mistake duration (threshold crossings that recover — the peer
+// E22: hostile-timing QoS battery for the failure-detection stack. The
+// experiment drives the three timing regimes that actually produced the
+// false-suspicion cascade (§4.3) in earlier versions of the live runtime
+// — links flapping right at the detection threshold, stall-and-recover
+// freezes (the GC-pause profile, injected with
+// transport.Chaos.StallProcess so §2.1's reliable channels hold), and a
+// coordinated churn storm of one site rebirthing as fast as the group
+// will let it — against the fixed 20ms timeout at each hysteresis dwell,
+// with the readmission governor metering the rebirth storms. Scored in
+// the Chen/Toueg QoS vocabulary: detection time (real kills), mistake
+// rate and mistake duration (threshold crossings that recover — the peer
 // proved itself alive, so the crossing was wrong by construction). The
 // output is a Pareto sweep: hysteresis buys mistakes down at a measured
 // detection-latency premium, and the experiment certifies the premium
@@ -31,7 +31,6 @@ import (
 
 var (
 	qosOut       string
-	qosMerge     string
 	qosWindow    time.Duration
 	qosKills     int
 	qosScenarios string
@@ -39,7 +38,6 @@ var (
 
 func qosFlags() {
 	flag.StringVar(&qosOut, "qos-out", "", "write the qos experiment's results as standalone JSON to this path")
-	flag.StringVar(&qosMerge, "qos-merge", "", "merge the qos report into this existing JSON object (e.g. BENCH_fd.json) under the \"qos\" key")
 	flag.DurationVar(&qosWindow, "qos-window", 2*time.Second, "hostile-phase length per arm (flap/stall/churn observation window)")
 	flag.IntVar(&qosKills, "qos-kills", 3, "clean-kill cycles per arm (detection-latency samples)")
 	flag.StringVar(&qosScenarios, "qos-scenarios", "clean,flap,stall,churn", "comma-separated scenario subset to run")
@@ -48,6 +46,9 @@ func qosFlags() {
 const (
 	qosHeartbeat    = 2 * time.Millisecond
 	qosSuspectAfter = 20 * time.Millisecond
+	// qosDetector names the one detector every arm runs: the fixed
+	// timeout at qosSuspectAfter, wrapped at each hysteresis setting.
+	qosDetector = "fixed-20ms"
 	// The flap profile sits right at the detection threshold: during the
 	// last 22ms of every 60ms period the victim's links drop everything,
 	// so a 20ms threshold crosses ~2ms before each burst ends — the
@@ -67,7 +68,7 @@ const (
 	qosMaxRegression = 1.5
 )
 
-// qosHystSettings is the hysteresis axis of the matrix. hyst-off is the
+// qosHystSettings is the experiment's one axis. hyst-off is the
 // measurement-only passthrough (Dwell 0 changes no behavior but still
 // counts crossings and mistakes); hyst-2ms is the headline setting the
 // clean-kill regression gate certifies; hyst-16ms is the deep-dwell end
@@ -87,7 +88,7 @@ func qosHystSettings() []struct {
 	}
 }
 
-// qosArm is one (scenario, detector, hysteresis) cell.
+// qosArm is one (scenario, hysteresis) cell.
 type qosArm struct {
 	Scenario   string `json:"scenario"`
 	Detector   string `json:"detector"`
@@ -120,9 +121,13 @@ type qosArm struct {
 	RateLimitOk    bool    `json:"rate_limit_ok"`
 	Survivors      int     `json:"survivors"`
 	WindowActualMs float64 `json:"window_ms"`
+	// Lost marks an arm whose closing convergence failed: the group
+	// never again agreed on one view, so Reconfigs is unknown rather
+	// than zero and the arm is kept off the Pareto fronts.
+	Lost bool `json:"lost"`
 }
 
-// qosReport is the payload merged into BENCH_fd.json under "qos".
+// qosReport is the BENCH_fd.json schema.
 type qosReport struct {
 	GeneratedBy  string   `json:"generated_by"`
 	Env          benchEnv `json:"env"`
@@ -132,29 +137,31 @@ type qosReport struct {
 	KillsPerArm  int      `json:"kills_per_arm"`
 	ReadmitMinMs float64  `json:"readmit_min_interval_ms"`
 	Arms         []qosArm `json:"arms"`
-	// Pareto lists, per hostile scenario, the detector×hysteresis
-	// configurations not dominated on (clean-kill detect time, wrongful
+	// Pareto lists, per hostile scenario, the hysteresis settings
+	// not dominated on (clean-kill detect time, wrongful
 	// reconfigurations): every config outside the list is both slower to
 	// detect a real kill and costs the group more cascade fallout than
 	// something inside it. Churn is excluded — its reconfigurations are
 	// real kills, and its verdict is the governor's rate-limit instead.
+	// Lost arms are never on a front.
 	Pareto map[string][]string `json:"pareto"`
-	// CleanRegression is mean clean-kill detect time of accrual-phi8 at
-	// the headline dwell over the same detector with hysteresis off,
-	// measured within this run; the acceptance bound is 1.5.
+	// CleanRegression is mean clean-kill detect time at the headline
+	// dwell over the same timeout with hysteresis off, measured within
+	// this run from two unlost arms that finished every kill; the
+	// acceptance bound is 1.5.
 	CleanRegression   float64 `json:"clean_regression_ratio"`
 	CleanRegressionOk bool    `json:"clean_regression_ok"`
 	// FlapRateLimitOk aggregates rate_limit_ok over every governed arm.
 	FlapRateLimitOk bool `json:"flap_rate_limit_ok"`
 }
 
-func qosLabel(det, hyst string) string { return det + "/" + hyst }
+func qosLabel(hyst string) string { return qosDetector + "/" + hyst }
 
-// runQoSArm boots a 5-node live group with the given detector wrapped in
+// runQoSArm boots a 5-node live group with the fixed timeout wrapped in
 // the given hysteresis setting over a chaos transport, runs the scenario,
 // and reads the arm's QoS off the shared hysteresis stats.
-func runQoSArm(scenario, detName string, factory fd.Factory, hystName string, dwell time.Duration, seed int64) (qosArm, error) {
-	arm := qosArm{Scenario: scenario, Detector: detName, Hysteresis: hystName}
+func runQoSArm(scenario, hystName string, dwell time.Duration, seed int64) (qosArm, error) {
+	arm := qosArm{Scenario: scenario, Detector: qosDetector, Hysteresis: hystName}
 	stats := &fd.HysteresisStats{}
 	tr := transport.NewChaos(transport.NewInmem(), transport.ChaosOptions{Seed: seed})
 	governed := scenario == "flap" || scenario == "churn"
@@ -162,7 +169,7 @@ func runQoSArm(scenario, detName string, factory fd.Factory, hystName string, dw
 		N:              5,
 		HeartbeatEvery: qosHeartbeat,
 		SuspectAfter:   qosSuspectAfter,
-		Detector: fd.NewHysteresisFactory(factory, fd.HysteresisOptions{
+		Detector: fd.NewHysteresisFactory(fd.NewTimeoutFactory(qosSuspectAfter), fd.HysteresisOptions{
 			Dwell: dwell, FlapPenalty: 1, Stats: stats,
 		}),
 		Transport: tr,
@@ -190,6 +197,8 @@ func runQoSArm(scenario, detName string, factory fd.Factory, hystName string, dw
 	// read from a quiescent group.
 	if v, err := c.WaitConverged(10 * time.Second); err == nil {
 		arm.Reconfigs = int(v.Version())
+	} else {
+		arm.Lost = true
 	}
 	arm.Survivors = len(c.Running())
 	arm.Deferred = c.ReadmitDeferred()
@@ -258,8 +267,8 @@ func qosCleanKills(c *live.Cluster) []time.Duration {
 		if _, err := c.WaitConverged(10 * time.Second); err != nil {
 			return detects
 		}
-		// Re-prime every observer's inter-arrival window before the next
-		// cycle so adaptive detectors measure steady state, not bootstrap.
+		// Let the reborn member settle before the next cycle so every
+		// kill is timed from a steady group, not from its admission.
 		time.Sleep(100 * qosHeartbeat)
 	}
 	return detects
@@ -374,7 +383,7 @@ func qosScenarioList() []string {
 }
 
 func qosPerf(seed int64) {
-	fmt.Println("== E22 · hostile-timing QoS battery: detector × hysteresis under flap / stall / churn, readmission governed ==")
+	fmt.Println("== E22 · hostile-timing QoS battery: fixed timeout × hysteresis under flap / stall / churn, readmission governed ==")
 	rep := qosReport{
 		GeneratedBy:  "gmpbench -exp qos",
 		Env:          captureEnv(),
@@ -389,22 +398,26 @@ func qosPerf(seed int64) {
 	byKey := map[string]qosArm{} // scenario|label
 	scenarios := qosScenarioList()
 	for _, scenario := range scenarios {
-		for _, det := range fdDetectors() {
-			for _, hyst := range qosHystSettings() {
-				arm, err := runQoSArm(scenario, det.name, det.factory, hyst.name, hyst.dwell, seed)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "qos arm %s %s/%s: %v\n", scenario, det.name, hyst.name, err)
-					continue
-				}
-				rep.Arms = append(rep.Arms, arm)
-				byKey[scenario+"|"+qosLabel(det.name, hyst.name)] = arm
+		for _, hyst := range qosHystSettings() {
+			arm, err := runQoSArm(scenario, hyst.name, hyst.dwell, seed)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "qos arm %s %s: %v\n", scenario, qosLabel(hyst.name), err)
+				continue
 			}
+			rep.Arms = append(rep.Arms, arm)
+			byKey[scenario+"|"+qosLabel(hyst.name)] = arm
 		}
 	}
 
 	w := tw()
-	fmt.Fprintln(w, "scenario\tdetector\thysteresis\tkills\tmean det (ms)\tcrossings\tabsorbed\tmean mistake (ms)\treconfigs\tadmitted\tdeferred\trate-limit")
+	fmt.Fprintln(w, "scenario\tdetector\thysteresis\tkills\tmean det (ms)\tcrossings\tabsorbed\tmean mistake (ms)\treconfigs\tsurvivors\tadmitted\tdeferred\trate-limit")
+	lost := 0
 	for _, a := range rep.Arms {
+		reconfigs := fmt.Sprint(a.Reconfigs)
+		if a.Lost {
+			reconfigs = "LOST"
+			lost++
+		}
 		rl := "-"
 		if a.Scenario == "flap" || a.Scenario == "churn" {
 			rl = "ok"
@@ -412,12 +425,13 @@ func qosPerf(seed int64) {
 				rl = "EXCEEDED"
 			}
 		}
-		fmt.Fprintf(w, "%s\t%s\t%s\t%d\t%.1f\t%d\t%d\t%.1f\t%d\t%d\t%d\t%s\n",
+		fmt.Fprintf(w, "%s\t%s\t%s\t%d\t%.1f\t%d\t%d\t%.1f\t%s\t%d\t%d\t%d\t%s\n",
 			a.Scenario, a.Detector, a.Hysteresis, a.Kills, a.MeanDetectMs,
-			a.Crossings, a.Mistakes, a.MeanMistakeMs, a.Reconfigs,
+			a.Crossings, a.Mistakes, a.MeanMistakeMs, reconfigs, a.Survivors,
 			a.Admissions, a.Deferred, rl)
 	}
 	w.Flush()
+	fmt.Printf("lost groups: %d of %d arms\n", lost, len(rep.Arms))
 
 	// Pareto per hostile scenario: x = the config's clean-kill detection
 	// time (its real-kill cost), y = the wrongful reconfigurations the
@@ -429,25 +443,22 @@ func qosPerf(seed int64) {
 			continue
 		}
 		type pt struct {
-			label    string
-			x, y     float64
-			hasClean bool
+			label string
+			x, y  float64
 		}
 		var pts []pt
-		for _, det := range fdDetectors() {
-			for _, hyst := range qosHystSettings() {
-				label := qosLabel(det.name, hyst.name)
-				hostile, ok := byKey[scenario+"|"+label]
-				if !ok {
-					continue
-				}
-				clean, hasClean := byKey["clean|"+label]
-				x := float64(qosSuspectAfter+hyst.dwell) / float64(time.Millisecond)
-				if hasClean && clean.Kills > 0 {
-					x = clean.MeanDetectMs
-				}
-				pts = append(pts, pt{label, x, float64(hostile.Reconfigs), hasClean})
+		for _, hyst := range qosHystSettings() {
+			label := qosLabel(hyst.name)
+			hostile, ok := byKey[scenario+"|"+label]
+			if !ok || hostile.Lost {
+				continue
 			}
+			clean := byKey["clean|"+label]
+			x := float64(qosSuspectAfter+hyst.dwell) / float64(time.Millisecond)
+			if clean.Kills > 0 {
+				x = clean.MeanDetectMs
+			}
+			pts = append(pts, pt{label, x, float64(hostile.Reconfigs)})
 		}
 		for _, p := range pts {
 			dominated := false
@@ -464,15 +475,17 @@ func qosPerf(seed int64) {
 		fmt.Printf("pareto[%s]: %v\n", scenario, rep.Pareto[scenario])
 	}
 
-	// The clean-kill regression gate: the headline dwell on the adaptive
-	// detector, against the same detector unwrapped, within this run.
-	base, okB := byKey["clean|"+qosLabel("accrual-phi8", "hyst-off")]
-	head, okH := byKey["clean|"+qosLabel("accrual-phi8", "hyst-2ms")]
-	if okB && okH && base.Kills > 0 && head.Kills > 0 && base.MeanDetectMs > 0 {
+	// The clean-kill regression gate: the headline dwell against the
+	// unwrapped timeout, within this run. Both arms must have kept their
+	// group and finished every kill, or the ratio compares partial runs.
+	base := byKey["clean|"+qosLabel("hyst-off")]
+	head := byKey["clean|"+qosLabel("hyst-2ms")]
+	whole := func(a qosArm) bool { return !a.Lost && a.Kills == qosKills }
+	if whole(base) && whole(head) && base.MeanDetectMs > 0 {
 		rep.CleanRegression = head.MeanDetectMs / base.MeanDetectMs
 		rep.CleanRegressionOk = rep.CleanRegression <= qosMaxRegression
-		fmt.Printf("clean-kill regression (accrual hyst-2ms / hyst-off): %.2fx (bound %.1fx) ok=%v\n",
-			rep.CleanRegression, qosMaxRegression, rep.CleanRegressionOk)
+		fmt.Printf("clean-kill regression (%s hyst-2ms / hyst-off): %.2fx (bound %.1fx) ok=%v\n",
+			qosDetector, rep.CleanRegression, qosMaxRegression, rep.CleanRegressionOk)
 	}
 
 	rep.FlapRateLimitOk = true
@@ -492,43 +505,16 @@ func qosPerf(seed int64) {
 	fmt.Println("      buys fallout down for a bounded clean-kill premium; the governor caps how fast")
 	fmt.Println("      a flapping site can bill the survivors for the mistakes that still surface.")
 
+	if qosOut == "" {
+		return
+	}
 	blob, err := json.MarshalIndent(rep, "", "  ")
+	if err == nil {
+		err = os.WriteFile(qosOut, append(blob, '\n'), 0o644)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "qos report:", err)
 		return
 	}
-	if qosOut != "" {
-		if err := os.WriteFile(qosOut, append(blob, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "qos report:", err)
-			return
-		}
-		fmt.Println("wrote", qosOut)
-	}
-	if qosMerge != "" {
-		if err := qosMergeInto(qosMerge, rep); err != nil {
-			fmt.Fprintln(os.Stderr, "qos merge:", err)
-			return
-		}
-		fmt.Println("merged qos section into", qosMerge)
-	}
-}
-
-// qosMergeInto reads an existing JSON object (the committed BENCH_fd.json)
-// and writes it back with the qos report under the "qos" key, leaving the
-// E16 fields untouched.
-func qosMergeInto(path string, rep qosReport) error {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var doc map[string]any
-	if err := json.Unmarshal(blob, &doc); err != nil {
-		return err
-	}
-	doc["qos"] = rep
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
+	fmt.Println("wrote", qosOut)
 }

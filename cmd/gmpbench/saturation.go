@@ -3,11 +3,11 @@
 // frames (a replication stream to a peer). On the single-plane TCP
 // wire that member's beacons — its only liveness evidence under ring
 // monitoring — share a FIFO channel with the bulk: each beacon drains
-// behind megabytes of queued data and coalescing keeps a new sample
-// from even enqueueing, so the monitor's φ-accrual fit starves. On the
-// two-plane wire the same beacons ride UDP datagrams the flood cannot
-// touch. The experiment scores both wires, clean and flooded, on false
-// suspicions and kill→exclusion latency, with the GMP checker
+// behind megabytes of queued data and coalescing keeps a new one from
+// even enqueueing, so the monitor's timeout reads the queue as silence.
+// On the two-plane wire the same beacons ride UDP datagrams the flood
+// cannot touch. The experiment scores both wires, clean and flooded, on
+// false suspicions and kill→exclusion latency, with the GMP checker
 // certifying every run.
 package main
 
@@ -20,7 +20,6 @@ import (
 
 	"procgroup/internal/check"
 	"procgroup/internal/event"
-	"procgroup/internal/fd"
 	"procgroup/internal/ids"
 	"procgroup/internal/live"
 	"procgroup/internal/topology"
@@ -81,25 +80,16 @@ type satArm struct {
 	CheckerOK bool `json:"checker_ok"`
 }
 
-// The saturation arms beat slower than E16's 2ms/20ms: the flood burns
+// The saturation arms beat slower than E22's 2ms/20ms: the flood burns
 // real CPU (encode + writev + decode of the bulk stream), and on small
 // GOMAXPROCS that scheduler jitter hits every goroutine. The wider
 // cadence keeps compute starvation out of the measurement so what
 // remains is the thing under test — where the victim's beacons queue.
+// Both wires monitor with the default fixed timeout at satSuspectAfter.
 const (
 	satHeartbeat    = 4 * time.Millisecond
 	satSuspectAfter = 40 * time.Millisecond
 )
-
-// satDetector is the adaptive detector both wires run: the policy whose
-// sample quality the planes differ on.
-func satDetector() fd.Factory {
-	return fd.NewAccrualFactory(fd.AccrualOptions{
-		Phi:       8,
-		MinStdDev: 2 * time.Millisecond,
-		Fallback:  satSuspectAfter,
-	})
-}
 
 func satTransport(wire string) transport.Transport {
 	if wire == "two-plane-udp" {
@@ -118,7 +108,6 @@ func runSatArm(wire string, flooded bool) (satArm, error) {
 		N:              4,
 		HeartbeatEvery: satHeartbeat,
 		SuspectAfter:   satSuspectAfter,
-		Detector:       satDetector(),
 		Transport:      satTransport(wire),
 		Topology:       topology.RingK{K: 1},
 	})
@@ -286,7 +275,7 @@ func satPerf() []satArm {
 	}
 	w.Flush()
 	fmt.Println("note: on the shared TCP channel the victim's beacons queue FIFO behind its own")
-	fmt.Println("      bulk stream (delay + coalescing starve the φ-accrual fit of samples); on")
+	fmt.Println("      bulk stream (delay + coalescing read as silence past the timeout); on")
 	fmt.Println("      the UDP beacon plane the same flood cannot touch them.")
 	return arms
 }

@@ -1,9 +1,9 @@
 package procgroup_test
 
 // Public-API coverage of detector selection and the chaos harness: a live
-// group under the adaptive φ-accrual detector, over a chaos-degraded
-// transport, must exclude a killed member — everything reachable from the
-// root package alone, as an application would wire it.
+// group under the fixed timeout wrapped in hysteresis, over a
+// chaos-degraded transport, must exclude a killed member — everything
+// reachable from the root package alone, as an application would wire it.
 
 import (
 	"testing"
@@ -12,7 +12,7 @@ import (
 	"procgroup"
 )
 
-func TestAccrualDetectorOverChaosTransportFacade(t *testing.T) {
+func TestHysteresisDetectorOverChaosTransportFacade(t *testing.T) {
 	chaos := procgroup.NewChaosTransport(procgroup.NewInmemTransport(), procgroup.ChaosTransportOptions{
 		Seed: 1,
 		Default: procgroup.ChaosLink{
@@ -20,17 +20,16 @@ func TestAccrualDetectorOverChaosTransportFacade(t *testing.T) {
 			BeaconLoss: 0.05,
 		},
 	})
+	stats := &procgroup.HysteresisStats{}
 	g := procgroup.StartGroup(procgroup.GroupOptions{
 		N:              5,
 		HeartbeatEvery: 5 * time.Millisecond,
-		// Wide σ floor: φ = 8 sits ~5.6σ past the mean, and -race
-		// slowdowns plus the 5ms chaos jitter need ~30ms of patience
-		// before a stall may be read as death.
-		Detector: procgroup.NewAccrualDetector(procgroup.AccrualDetectorOptions{
-			Phi:       8,
-			MinStdDev: 5 * time.Millisecond,
-			Fallback:  100 * time.Millisecond,
-		}),
+		// 30ms threshold plus a 10ms dwell: -race slowdowns and the 5ms
+		// chaos jitter must not read as death.
+		Detector: procgroup.NewHysteresisDetector(
+			procgroup.NewFixedTimeoutDetector(30*time.Millisecond),
+			procgroup.HysteresisOptions{Dwell: 10 * time.Millisecond, FlapPenalty: 1, Stats: stats},
+		),
 		Transport: chaos,
 	})
 	defer g.Stop()
@@ -46,6 +45,11 @@ func TestAccrualDetectorOverChaosTransportFacade(t *testing.T) {
 	}
 	if v.Has(victim) {
 		t.Errorf("killed member still in %v", v)
+	}
+	// The exclusion came through the wrapper: some crossing survived its
+	// dwell and surfaced as a suspicion.
+	if stats.Confirms.Load() == 0 {
+		t.Error("killed member excluded without a confirmed hysteresis crossing")
 	}
 	if g.TransportStats().ChaosInjected == 0 {
 		t.Error("chaos transport injected no drops despite 5% beacon loss")

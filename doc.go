@@ -29,11 +29,10 @@
 //
 //   - Failure detection (GroupOptions.Detector): the classic fixed
 //     silence threshold (NewFixedTimeoutDetector, the default via
-//     GroupOptions.SuspectAfter) or the adaptive φ-accrual detector
-//     (NewAccrualDetector), which fits per-peer arrival statistics so
-//     detection latency tracks measured link behavior — the paper's §2.2
-//     observation that agreement time is detector-bound, attacked at the
-//     detector.
+//     GroupOptions.SuspectAfter), optionally wrapped by
+//     NewHysteresisDetector, whose dwell forgives a crossing that
+//     recovers — a GC pause or a link flapping at the threshold — while
+//     a genuinely dead member is still detected one dwell later.
 //
 //   - Monitoring topology (GroupOptions.Topology): all-to-all monitoring
 //     (NewFullTopology, the default) or ring-k (NewRingTopology), where
@@ -44,6 +43,6 @@
 //
 // See README.md for a quickstart, DESIGN.md for the system inventory and
 // EXPERIMENTS.md for the paper-versus-measured record of every table and
-// figure (E16 covers the detector A/B under chaos, E17 the topology
+// figure (E22 covers detector QoS under hostile timing, E17 the topology
 // scaling sweep).
 package procgroup

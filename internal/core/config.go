@@ -27,8 +27,8 @@ type Env interface {
 }
 
 // LevelRecorder is an optional Env extension. Environments whose failure
-// detector grades its suspicions (the live runtime's accrual detector
-// emits φ values) implement it so Faulty events recorded through
+// detector grades its suspicions (the live runtime's timeout emits
+// elapsed/threshold) implement it so Faulty events recorded through
 // Node.SuspectWithLevel carry the detector's confidence into the trace;
 // environments without it fall back to the ungraded Record.
 type LevelRecorder interface {

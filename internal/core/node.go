@@ -211,7 +211,7 @@ func (n *Node) Suspect(q ids.ProcID) { n.SuspectWithLevel(q, 0) }
 
 // SuspectWithLevel is Suspect for environments whose failure detector
 // grades its output (§2.2 leaves the mechanism open; the live runtime's
-// accrual detector produces a φ value): level travels onto the recorded
+// timeout reports elapsed/threshold): level travels onto the recorded
 // Faulty event so traces show how confident the detector was when the
 // suspicion fired. Level 0 is an ungraded suspicion.
 func (n *Node) SuspectWithLevel(q ids.ProcID, level float64) {

@@ -98,7 +98,7 @@ type Event struct {
 	Members []ids.ProcID
 	// Level is the failure detector's suspicion level at the moment a
 	// Faulty event fired — elapsed/threshold for the fixed-timeout
-	// detector, φ for the accrual detector. Zero for events whose
+	// detector, so 1.0 is the boundary. Zero for events whose
 	// suspicion did not come from a graded local detector (F2 gossip,
 	// oracle injection, simulator schedules).
 	Level float64

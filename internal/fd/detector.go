@@ -1,13 +1,12 @@
 package fd
 
-// The live runtime's F1 policy, made pluggable. The paper abstracts the
-// failure-detection mechanism entirely (§2.2): any mechanism that
-// eventually notices a real crash satisfies F1, and wrong detections are
-// legal — GMP's whole contribution is staying consistent despite them.
-// That freedom is a design space: the fixed-timeout detector extracted
-// from internal/live is one point in it, the φ-accrual detector of
-// accrual.go another. Detector is the seam that lets the live runtime
-// (and the root procgroup API) choose per group.
+// The live runtime's F1 policy. The paper abstracts the failure-detection
+// mechanism entirely (§2.2): any mechanism that eventually notices a real
+// crash satisfies F1, and wrong detections are legal — GMP's whole
+// contribution is staying consistent despite them. So the runtime needs
+// one well-measured policy, not a menu: the fixed timeout below,
+// optionally wrapped by Hysteresis (hysteresis.go). Detector is the seam
+// that keeps the policy testable on synthetic arrival schedules.
 
 import (
 	"time"
@@ -25,23 +24,22 @@ import (
 // exactly the code the live runtime runs.
 type Detector interface {
 	// Observe records that protocol traffic from q arrived at time at.
-	// Every receive proves liveness; adaptive detectors must NOT treat
-	// protocol inter-arrival gaps as cadence samples (a burst of frames
-	// µs apart would collapse the fitted distribution and make the next
-	// normal beacon gap look like death).
+	// Every receive proves liveness, and any open suspicion of q was
+	// therefore a mistake — the signal Hysteresis counts and penalizes.
 	Observe(q ids.ProcID, at time.Time)
 	// ObserveBeacon records that a substrate heartbeat from q arrived at
-	// time at. Beacons prove liveness too, and — because the live
-	// runtime coalesces them (a pure beacon is sent only on a channel
-	// silent for a full interval) — the gap since the previous traffic
-	// of any kind is exactly one liveness-pulse period, the sample an
-	// adaptive detector should fit.
+	// time at. Beacons prove liveness exactly like protocol traffic; they
+	// are a separate call because the live runtime emits them at a fixed
+	// cadence on every transport (one per heartbeat interval, whatever
+	// protocol traffic went out in between), so a caller that measures
+	// beacon arrivals — the benchmark's per-layer trace does — can tell
+	// the two evidence streams apart.
 	ObserveBeacon(q ids.ProcID, at time.Time)
 	// Suspicion reports the current suspicion level of q at time at — a
-	// monotone function of the silence observed so far. For the timeout
-	// detector it is elapsed/threshold; for the accrual detector it is φ.
-	// The level is recorded on the Faulty trace event when a suspicion
-	// fires, so traces show how confident the detector was.
+	// monotone function of the silence observed so far: elapsed silence
+	// over the threshold, 1.0 at the suspicion boundary. The level is
+	// recorded on the Faulty trace event when a suspicion fires, so
+	// traces show how far past the threshold the peer had gone.
 	Suspicion(q ids.ProcID, at time.Time) float64
 	// Suspect reports whether q should be suspected at time at. A peer
 	// never observed before is registered as first seen at `at` and not
@@ -49,10 +47,10 @@ type Detector interface {
 	// installed members.
 	Suspect(q ids.ProcID, at time.Time) bool
 	// Rearm refreshes q's silence clock after the caller detected its
-	// OWN scheduling stall: the elapsed silence it observed is
-	// unreliable, but no traffic actually arrived, so adaptive
-	// detectors must not let the refresh anchor an arrival sample (the
-	// gap to the next real beacon would be fabricated).
+	// OWN scheduling stall (or began watching q afresh): the silence it
+	// observed is unreliable, but no traffic actually arrived, so unlike
+	// Observe it proves nothing about q — Hysteresis drops an open
+	// crossing on Rearm without charging q a mistake or a flap.
 	Rearm(q ids.ProcID, at time.Time)
 	// Retain drops tracking state for every peer not in members; the
 	// live runtime calls it at each view installation so departed
@@ -93,8 +91,7 @@ func (t *Timeout) Observe(q ids.ProcID, at time.Time) { t.lastSeen[q] = at }
 // distinction between beacon and protocol traffic.
 func (t *Timeout) ObserveBeacon(q ids.ProcID, at time.Time) { t.lastSeen[q] = at }
 
-// Rearm implements Detector; with no arrival statistics to protect, it is
-// a plain refresh.
+// Rearm implements Detector; for the timeout it is a plain refresh.
 func (t *Timeout) Rearm(q ids.ProcID, at time.Time) { t.lastSeen[q] = at }
 
 // Suspicion implements Detector: elapsed silence as a fraction of the

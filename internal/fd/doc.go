@@ -3,8 +3,7 @@
 // details of the mechanism used here, but for liveness, we do assume that
 // it occurs in finite time after a real crash". Detections may be wrong;
 // staying consistent despite that is GMP's whole contribution (§2.3). The
-// package therefore treats detection as a policy space and provides one
-// implementation per substrate:
+// package provides one implementation per substrate:
 //
 //   - Oracle (fd.go) serves the simulator: it watches crashes on the
 //     simulated network and delivers faulty_p(q) suspicions after a
@@ -15,15 +14,16 @@
 //   - Timeout (detector.go) serves the live runtime: the classic fixed
 //     silence threshold, extracted behavior-preservingly from the
 //     pre-refactor heartbeat loop (the extraction is pinned bit-for-bit
-//     by TestTimeoutMatchesPreRefactorBeatLoop).
+//     by TestTimeoutMatchesPreRefactorBeatLoop). It is the only live
+//     policy: the paper needs just eventual suspicion of a crash, and
+//     an adaptive rival measured against it under hostile timing never
+//     reliably matched its zero-mistake level (EXPERIMENTS.md, E16).
 //
-//   - Accrual (accrual.go) is the adaptive alternative: per-peer
-//     inter-arrival statistics fed by beacon receipts, emitting a
-//     continuous suspicion level φ = −log₁₀ P(silence | alive) in the
-//     style of Hayashibara et al.'s φ-accrual detector. Suspect-after
-//     then tracks each link's measured behavior instead of a global
-//     worst-case constant — the lever E15/E16 (EXPERIMENTS.md) measure,
-//     since agreement time is detector-bound (§2.2).
+//   - Hysteresis (hysteresis.go) optionally wraps the timeout: a
+//     crossing must survive a dwell of continuous silence before it
+//     surfaces, flapping peers earn more dwell, and the shared
+//     HysteresisStats ledger counts crossings and mistakes — the
+//     detection-time and mistake-rate QoS quantities E22 reports.
 //
 // Live detectors implement the Detector interface and are chosen per
 // group through a Factory (GroupOptions.Detector in the root API); they

@@ -2,7 +2,7 @@ package fd
 
 // The simulator's detector: an oracle wired to the simulated network's
 // crash notifications, with configurable latency and spurious-suspicion
-// injection. The live runtime's detectors live in detector.go/accrual.go.
+// injection. The live runtime's detectors live in detector.go/hysteresis.go.
 
 import (
 	"procgroup/internal/ids"

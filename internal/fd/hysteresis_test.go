@@ -188,32 +188,3 @@ func TestHysteresisRearmDropsCrossingWithoutMistake(t *testing.T) {
 		t.Fatal("crossing after Rearm did not confirm at base dwell")
 	}
 }
-
-func TestHysteresisOverAccrual(t *testing.T) {
-	// The wrapper composes with the adaptive detector: φ crossings obey
-	// the same dwell discipline.
-	h := NewHysteresis(NewAccrual(AccrualOptions{}), HysteresisOptions{
-		Dwell: 10 * time.Millisecond,
-	})
-	q := ids.Named("q")
-	now := t0
-	for i := 0; i < 50; i++ {
-		h.ObserveBeacon(q, now)
-		now = now.Add(2 * time.Millisecond)
-	}
-	last := now.Add(-2 * time.Millisecond)
-
-	// 12ms silence on a 2ms link: φ has crossed (see the accrual tests)
-	// but the dwell holds the suspicion back…
-	crossed := last.Add(12 * time.Millisecond)
-	if !h.inner.Suspect(q, crossed) {
-		t.Fatal("precondition: inner accrual not suspicious at 12ms silence")
-	}
-	if h.Suspect(q, crossed) {
-		t.Fatal("confirmed before the dwell elapsed")
-	}
-	// …and sustained silence confirms one dwell later.
-	if !h.Suspect(q, crossed.Add(10*time.Millisecond)) {
-		t.Fatal("not confirmed after dwell under sustained silence")
-	}
-}

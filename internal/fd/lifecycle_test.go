@@ -16,8 +16,6 @@ func stateCount(t *testing.T, d Detector) int {
 	switch v := d.(type) {
 	case *Timeout:
 		return len(v.lastSeen)
-	case *Accrual:
-		return len(v.peers)
 	case *Hysteresis:
 		if inner := stateCount(t, v.inner); inner > len(v.peers) {
 			return inner
@@ -37,14 +35,8 @@ func TestRetainPrunesAllDetectorStateUnderChurn(t *testing.T) {
 	// on any long-lived group with churn.
 	detectors := map[string]func() Detector{
 		"timeout": func() Detector { return NewTimeout(20 * time.Millisecond) },
-		"accrual": func() Detector { return NewAccrual(AccrualOptions{}) },
 		"hysteresis-over-timeout": func() Detector {
 			return NewHysteresis(NewTimeout(20*time.Millisecond), HysteresisOptions{
-				Dwell: 5 * time.Millisecond, FlapPenalty: 1,
-			})
-		},
-		"hysteresis-over-accrual": func() Detector {
-			return NewHysteresis(NewAccrual(AccrualOptions{}), HysteresisOptions{
 				Dwell: 5 * time.Millisecond, FlapPenalty: 1,
 			})
 		},

@@ -19,7 +19,7 @@
 // watches this node, whatever protocol traffic went out in between.
 // Suspicion policy is delegated to an fd.Detector chosen per group
 // through Options.Detector — the fixed SuspectAfter timeout by default,
-// the adaptive φ-accrual detector as the alternative — and the detector's
+// optionally wrapped in fd.Hysteresis's dwell — and the detector's
 // graded suspicion level travels onto the recorded Faulty trace events
 // (core.LevelRecorder). A stall guard protects the wheel itself: a node
 // whose own loop was descheduled longer than half the suspicion threshold

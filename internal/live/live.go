@@ -58,8 +58,8 @@ type Options struct {
 	// Detector selects the failure-detection policy (F1, §2.2): a
 	// factory invoked once per node so every process owns an independent
 	// detector instance. Nil selects fd.NewTimeoutFactory(SuspectAfter),
-	// the seed behavior; fd.NewAccrualFactory gives the adaptive
-	// φ-accrual detector.
+	// the seed behavior; fd.NewHysteresisFactory wraps a timeout with a
+	// confirm-before-suspect dwell.
 	Detector fd.Factory
 	// Transport is the message substrate. Nil selects in-process
 	// delivery (transport.NewInmem), the seed behavior. The cluster
@@ -415,7 +415,7 @@ func (ln *liveNode) dispatch(e envelope) {
 // observes reports whether traffic from q should feed this node's
 // detector. Under a partial topology only watched members do — otherwise
 // every coordinator commit or FaultyReport from a non-neighbor would
-// regrow the detector's per-peer state (an accrual window each) back to
+// regrow the detector's per-peer state (a silence clock each) back to
 // O(n) between installs, the exact scaling the topology exists to cap.
 // Under full monitoring every sender feeds it, the seed behavior.
 func (ln *liveNode) observes(q ids.ProcID) bool {
@@ -445,8 +445,8 @@ func (ln *liveNode) beat() {
 	// a genuinely dead peer is still caught one threshold later (F1 only
 	// demands eventual detection). The trip point keys on the wheel's
 	// own cadence — a beat arriving more than a full period late —
-	// because an adaptive detector's suspicion latency can sit well
-	// below the fixed SuspectAfter (which caps the guard when tighter).
+	// because a configured Detector's threshold can sit well below
+	// SuspectAfter (which caps the guard when tighter).
 	// The floor of 1.5 beat periods keeps ordinary tick jitter from
 	// tripping it: below that, every normal beat would register as a
 	// stall and detection would silently never run.
@@ -624,8 +624,8 @@ func (e *liveEnv) RecordInstall(ver member.Version, members []ids.ProcID) {
 	// long before its add commits (the readmission governor deferring it
 	// stretches that gap past any threshold), and charging the wait as
 	// silence would suspect the newcomer on the first wheel pass after
-	// its own admission. Rearm refreshes the clock without feeding the
-	// gap to an adaptive detector's arrival statistics.
+	// its own admission. Rearm refreshes the clock without charging the
+	// gap to the peer as recovered (mistaken) silence.
 	for _, q := range ln.watch {
 		if !oldWatch.Has(q) {
 			ln.det.Rearm(q, now)

@@ -51,9 +51,6 @@ type (
 	// (F1, §2.2): set it on GroupOptions.Detector. Nil keeps the fixed
 	// SuspectAfter timeout.
 	DetectorFactory = fd.Factory
-	// AccrualDetectorOptions tunes the adaptive φ-accrual detector of
-	// NewAccrualDetector.
-	AccrualDetectorOptions = fd.AccrualOptions
 	// HysteresisOptions tunes the suspicion-hysteresis wrapper of
 	// NewHysteresisDetector.
 	HysteresisOptions = fd.HysteresisOptions
@@ -103,21 +100,10 @@ func NewUDPBeaconTransport() Transport {
 
 // NewFixedTimeoutDetector selects the classic fixed-threshold failure
 // detector: suspect a member once its silence exceeds after. This is the
-// default policy (GroupOptions.SuspectAfter) made explicit, for A/B runs
-// against the adaptive detector.
+// default policy (GroupOptions.SuspectAfter) made explicit, so it can be
+// given its own threshold or wrapped by NewHysteresisDetector.
 func NewFixedTimeoutDetector(after time.Duration) DetectorFactory {
 	return fd.NewTimeoutFactory(after)
-}
-
-// NewAccrualDetector selects the adaptive φ-accrual failure detector: each
-// node fits a per-peer inter-arrival distribution from observed traffic
-// and suspects a member once the probability of its current silence drops
-// below 10^−Phi. Detection latency then tracks each link's measured
-// behavior instead of a global worst-case constant — the paper's §2.2
-// observation that agreement time is detector-bound, attacked at the
-// detector. A zero options value selects the documented defaults.
-func NewAccrualDetector(opts AccrualDetectorOptions) DetectorFactory {
-	return fd.NewAccrualFactory(opts)
 }
 
 // NewHysteresisDetector wraps any detector factory with suspicion
