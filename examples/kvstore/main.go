@@ -20,7 +20,7 @@ func main() {
 	kv := procgroup.NewReplicatedKV().WithBatching(
 		procgroup.BatchConfig{MaxEntries: 16},
 		procgroup.AckConfig{Every: 16},
-	)
+	).WithCertification() // record the applied order so CheckTotalOrder can certify it
 	group := procgroup.StartGroup(procgroup.GroupOptions{
 		N:              5,
 		HeartbeatEvery: 10 * time.Millisecond,

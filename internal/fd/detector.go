@@ -46,6 +46,16 @@ type Detector interface {
 	// suspected — the grace the pre-extraction live runtime gave newly
 	// installed members.
 	Suspect(q ids.ProcID, at time.Time) bool
+	// Closed records closed-stream evidence about q at time at: the
+	// transport saw q's end of a stream end, or q's address refuse a
+	// dial (transport.PeerClosed). It is a hint, never a verdict — a
+	// live q keeps beaconing, so evidence alone never suspects it. For
+	// one threshold period afterwards the detector suspects q once its
+	// silence exceeds a quarter of the threshold, and Hysteresis confirms
+	// such a crossing with no dwell. Observe does not clear the evidence:
+	// silence alone decides. A close about a peer never observed is
+	// ignored.
+	Closed(q ids.ProcID, at time.Time)
 	// Rearm refreshes q's silence clock after the caller detected its
 	// OWN scheduling stall (or began watching q afresh): the silence it
 	// observed is unreliable, but no traffic actually arrived, so unlike
@@ -66,16 +76,23 @@ type Factory func() Detector
 // pre-refactor live runtime: q is suspected once the silence since its
 // last observed traffic strictly exceeds After. It is the paper's
 // simplest F1 realization — one global constant, no per-link adaptation.
+// Closed-stream evidence lowers the threshold to After/4 for one After
+// period (see Detector.Closed).
 type Timeout struct {
 	// After is the silence threshold.
 	After time.Duration
 
 	lastSeen map[ids.ProcID]time.Time
+	closedAt map[ids.ProcID]time.Time // latest closed-stream evidence per peer
 }
 
 // NewTimeout builds a fixed-threshold detector.
 func NewTimeout(after time.Duration) *Timeout {
-	return &Timeout{After: after, lastSeen: make(map[ids.ProcID]time.Time)}
+	return &Timeout{
+		After:    after,
+		lastSeen: make(map[ids.ProcID]time.Time),
+		closedAt: make(map[ids.ProcID]time.Time),
+	}
 }
 
 // NewTimeoutFactory returns a Factory producing independent NewTimeout
@@ -90,6 +107,13 @@ func (t *Timeout) Observe(q ids.ProcID, at time.Time) { t.lastSeen[q] = at }
 // ObserveBeacon implements Detector; the fixed-threshold policy makes no
 // distinction between beacon and protocol traffic.
 func (t *Timeout) ObserveBeacon(q ids.ProcID, at time.Time) { t.lastSeen[q] = at }
+
+// Closed implements Detector.
+func (t *Timeout) Closed(q ids.ProcID, at time.Time) {
+	if _, ok := t.lastSeen[q]; ok {
+		t.closedAt[q] = at
+	}
+}
 
 // Rearm implements Detector; for the timeout it is a plain refresh.
 func (t *Timeout) Rearm(q ids.ProcID, at time.Time) { t.lastSeen[q] = at }
@@ -113,11 +137,31 @@ func (t *Timeout) Suspect(q ids.ProcID, at time.Time) bool {
 		t.lastSeen[q] = at
 		return false
 	}
-	return at.Sub(seen) > t.After
+	return at.Sub(seen) > t.threshold(q, at)
+}
+
+// threshold is the silence q may show at time at before it is suspected:
+// After, or After/4 within one After period of closed-stream evidence.
+// A live peer beacons every beat, far more often than After/4 (2 beats
+// at the benchmark's 80 ms / 10 ms, 1.5 at the default 6-beat threshold),
+// so only a peer that really stopped crosses the lowered bar.
+func (t *Timeout) threshold(q ids.ProcID, at time.Time) time.Duration {
+	c, ok := t.closedAt[q]
+	if !ok {
+		return t.After
+	}
+	if at.Sub(c) > t.After {
+		delete(t.closedAt, q) // expired: back to silence alone
+		return t.After
+	}
+	return t.After / 4
 }
 
 // Retain implements Detector.
-func (t *Timeout) Retain(members []ids.ProcID) { retainKeys(t.lastSeen, members) }
+func (t *Timeout) Retain(members []ids.ProcID) {
+	retainKeys(t.lastSeen, members)
+	retainKeys(t.closedAt, members)
+}
 
 // retainKeys prunes every key of m not listed in members — the shared
 // Retain implementation of all detectors.

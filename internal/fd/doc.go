@@ -18,6 +18,10 @@
 //     policy: the paper needs just eventual suspicion of a crash, and
 //     an adaptive rival measured against it under hostile timing never
 //     reliably matched its zero-mistake level (EXPERIMENTS.md, E16).
+//     Closed-stream evidence from the transport (Detector.Closed) lowers
+//     its threshold to a quarter for one threshold period: a crashed
+//     peer is suspected after two beats of silence instead of eight,
+//     while a live peer, beaconing every beat, never crosses it.
 //
 //   - Hysteresis (hysteresis.go) optionally wraps the timeout: a
 //     crossing must survive a dwell of continuous silence before it

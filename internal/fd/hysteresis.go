@@ -210,7 +210,11 @@ func (h *Hysteresis) Suspect(q ids.ProcID, at time.Time) bool {
 			s.Crossings.Add(1)
 		}
 	}
-	if !st.confirmed && at.Sub(st.crossedAt) >= h.dwell(st, at) {
+	// An inner crossing below the inner's own threshold (level < 1) can
+	// only come from closed-stream evidence (Detector.Closed): the kernel,
+	// not timing noise, said the peer's stream ended, so there is nothing
+	// for a dwell to filter and the crossing is confirmed at once.
+	if !st.confirmed && (at.Sub(st.crossedAt) >= h.dwell(st, at) || h.inner.Suspicion(q, at) < 1) {
 		st.confirmed = true
 		if s := h.opts.Stats; s != nil {
 			s.Confirms.Add(1)
@@ -245,6 +249,10 @@ func (h *Hysteresis) decay(st *hystState, at time.Time) {
 	}
 	st.flapAt = at
 }
+
+// Closed implements Detector: the inner detector weighs the evidence;
+// Suspect then confirms the crossing it causes without a dwell.
+func (h *Hysteresis) Closed(q ids.ProcID, at time.Time) { h.inner.Closed(q, at) }
 
 // Rearm implements Detector: our OWN stall fabricated the silence, so the
 // open crossing (if any) is evidence-free — drop it without charging the

@@ -15,7 +15,7 @@ func stateCount(t *testing.T, d Detector) int {
 	t.Helper()
 	switch v := d.(type) {
 	case *Timeout:
-		return len(v.lastSeen)
+		return max(len(v.lastSeen), len(v.closedAt))
 	case *Hysteresis:
 		if inner := stateCount(t, v.inner); inner > len(v.peers) {
 			return inner
@@ -60,11 +60,13 @@ func TestRetainPrunesAllDetectorStateUnderChurn(t *testing.T) {
 				for step := 0; step < 12; step++ {
 					now = now.Add(time.Duration(1+rng.Intn(30)) * time.Millisecond)
 					q := members[rng.Intn(sites)]
-					switch rng.Intn(3) {
+					switch rng.Intn(4) {
 					case 0:
 						d.ObserveBeacon(q, now)
 					case 1:
 						d.Observe(q, now)
+					case 2:
+						d.Closed(q, now)
 					default:
 						d.Suspect(q, now)
 					}

@@ -21,11 +21,14 @@
 // through Options.Detector — the fixed SuspectAfter timeout by default,
 // optionally wrapped in fd.Hysteresis's dwell — and the detector's
 // graded suspicion level travels onto the recorded Faulty trace events
-// (core.LevelRecorder). A stall guard protects the wheel itself: a node
-// whose own loop was descheduled longer than half the suspicion threshold
-// re-arms its observations instead of suspecting every peer at once,
-// since its evidence of their silence is indistinguishable from its own
-// absence.
+// (core.LevelRecorder). Closed-stream evidence from the transport
+// (transport.PeerClosed: the peer's TCP stream ended or its address
+// refused a dial) goes to the detector's Closed, which only shortens how
+// long it waits for the peer's silence. A stall guard protects the wheel
+// itself: a node whose own loop was descheduled longer than half the
+// suspicion threshold re-arms its observations instead of suspecting
+// every peer at once, since its evidence of their silence is
+// indistinguishable from its own absence.
 //
 // Under a partial topology, point-to-point-learned suspicions disseminate
 // as SuspicionDigest batches riding the beacons themselves (DESIGN.md

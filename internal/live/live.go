@@ -377,30 +377,35 @@ func (ln *liveNode) dispatch(e envelope) {
 	if e.from.IsNil() {
 		return
 	}
-	if _, isBeat := e.payload.(Heartbeat); isBeat {
+	switch p := e.payload.(type) {
+	case Heartbeat:
 		if ln.observes(e.from) {
 			ln.det.ObserveBeacon(e.from, time.Now())
 		}
 		return
-	}
-	if dg, isDigest := e.payload.(SuspicionDigest); isDigest {
+	case SuspicionDigest:
 		// A digest occupies a beacon slot, so it is beacon-grade liveness
 		// evidence for the sender — then its entries are absorbed.
 		if ln.observes(e.from) {
 			ln.det.ObserveBeacon(e.from, time.Now())
 		}
-		ln.absorbDigest(dg)
+		ln.absorbDigest(p)
 		return
-	}
-	if _, isApp := e.payload.(AppTraffic); isApp {
+	case transport.PeerClosed:
+		// Closed-stream evidence: the transport saw the sender's stream
+		// end. It shortens the detector's wait; silence still decides.
+		if ln.observes(e.from) {
+			ln.det.Closed(e.from, time.Now())
+		}
+		return
+	case AppTraffic:
 		// Application traffic: routed to the hook, never to the protocol,
 		// and — like SubstrateTraffic — never to the detector.
 		if ln.app != nil {
 			ln.app.HandleApp(e.from, e.payload)
 		}
 		return
-	}
-	if _, sub := e.payload.(SubstrateTraffic); sub {
+	case SubstrateTraffic:
 		return // non-protocol wire traffic: not evidence, never delivered
 	}
 	if ln.observes(e.from) {
@@ -851,10 +856,15 @@ func (c *Cluster) Stop() {
 	}
 	c.nodes = make(map[ids.ProcID]*liveNode)
 	c.mu.Unlock()
+	// Every node stops before any endpoint goes: an unregistered endpoint
+	// hands its peers closed-stream evidence, and a node still running
+	// would act on it with a suspicion round in the middle of teardown.
 	for _, ln := range nodes {
-		c.tr.Unregister(ln.id)
 		close(ln.stop)
 		ln.box.close()
+	}
+	for _, ln := range nodes {
+		c.tr.Unregister(ln.id)
 	}
 	c.tr.Close()
 	c.wg.Wait()

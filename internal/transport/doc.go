@@ -28,15 +28,15 @@
 //     of the wire — with per-link delay, jitter, beacon loss, burst
 //     outages and asymmetric partitions, reconfigurable at runtime — the
 //     live chaos harness that opens the simulator's adversity space
-//     (internal/netsim) to the goroutine runtime, used by E16's
-//     failure-detector A/B.
+//     (internal/netsim) to the goroutine runtime, used by E22's
+//     detector QoS runs.
 //
 // The paper's §3 claim that reliable FIFO channels are implementable over
 // a lossy, duplicating link is proven by internal/channel under the
 // simulator, not by a live transport.
 //
 // Every implementation shares datagram-drop semantics for dead hosts
-// (silence is the failure detector's problem, §2.2) and per-reason drop
+// (the failure detector decides who failed, §2.2) and per-reason drop
 // accounting through Stats, which also gauges send-queue depth (current
 // and high-water) so congestion is observable before it becomes drops,
 // and counts suspicion-class frames (Stats.SuspicionFrames) so the
@@ -45,7 +45,10 @@
 // socket on both ends (smaller initiator wins; a pair whose two ends
 // share one instance keeps its dialed socket), and the pair writer
 // retries failed dials and writes with backoff before accounting a
-// drop.
+// drop. What the kernel reports about a peer for free — a pair stream
+// that ends under its local end, a refused dial — the stream plane hands
+// the local end as closed-stream evidence (PeerClosed), a hint the
+// detector may use to stop waiting early, never a verdict.
 // The wire codec (Frame, AppendFrame / EncodeFrame / ReadFrame /
 // DecodeFrame) is a hand-rolled binary format — length-prefixed on
 // streams, bare frame body per datagram — covering the whole

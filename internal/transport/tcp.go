@@ -3,10 +3,12 @@ package transport
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"procgroup/internal/ids"
@@ -26,7 +28,12 @@ import (
 // AddPeer (cross-host deployments). Sends to a peer that is unknown,
 // unreachable, or whose channel queue is saturated are dropped — the
 // failure detector owns liveness, the transport only moves bytes — and
-// every drop is counted by reason (Stats).
+// every drop is counted by reason (Stats). What the kernel says about a
+// peer for free is passed on as closed-stream evidence (PeerClosed): an
+// established pair stream that ends without this side closing it (EOF
+// or a failed write), a refused dial, and — the same-host model of the
+// kernel closing a dead process's sockets — Unregister(p) stopping a
+// pair whose other end is still registered here.
 type TCP struct {
 	host string
 
@@ -183,11 +190,27 @@ func (t *TCP) Unregister(p ids.ProcID) {
 		t.republishPairsLocked()
 	}
 	t.mu.Unlock()
+	// Muxes stop before the endpoint shuts down, so the reader of a pair
+	// stream p's endpoint accepted finds its mux stopped and reports
+	// nothing: the evidence below is the one report.
+	for _, m := range drop {
+		m.stop()
+		t.noteClosed(p, m.other(p))
+	}
 	if ok {
 		ep.shutdown()
 	}
-	for _, m := range drop {
-		m.stop()
+}
+
+// noteClosed delivers closed-stream evidence about p to q, if q is
+// registered here. It runs only when a stream ends or a dial fails,
+// never per frame.
+func (t *TCP) noteClosed(p, q ids.ProcID) {
+	t.mu.RLock()
+	ep := t.locals[q]
+	t.mu.RUnlock()
+	if ep != nil {
+		ep.h(p, Message{Payload: PeerClosed{}})
 	}
 }
 
@@ -334,10 +357,12 @@ func (t *TCP) readConn(c net.Conn, ep *tcpEndpoint, m *pairMux) {
 	defer t.wg.Done()
 	fr := newFrameReader(bufio.NewReaderSize(c, 128<<10))
 	rs := newRouteState()
+	ended := false // the stream ended under us, not by this side's choice
 	for {
 		body, err := fr.readBody()
 		if err != nil {
-			break // EOF on peer close, or framing corruption: abandon the stream
+			ended = true // EOF on peer close, or framing corruption: abandon the stream
+			break
 		}
 		fr.dec.reset(body)
 		f, err := decodeFrame(&fr.dec)
@@ -357,7 +382,10 @@ func (t *TCP) readConn(c net.Conn, ep *tcpEndpoint, m *pairMux) {
 		}
 		t.route(f, rs)
 	}
-	if m != nil {
+	switch {
+	case m != nil && ended:
+		m.connLost(c)
+	case m != nil:
 		m.dropConn(c)
 	}
 	if ep != nil {
@@ -549,6 +577,7 @@ type pairMux struct {
 	conn     net.Conn   // established link: dialed here or adopted from accept
 	connInit ids.ProcID // which pair end initiated conn (simultaneous-open tie-break)
 	dialTo   ids.ProcID // the end this instance dials to establish the link
+	dialing  bool       // ensureConn is dialing: a stream lost meanwhile is no evidence
 	stopped  bool
 
 	wake chan struct{}
@@ -834,7 +863,7 @@ func (w *muxWriter) flush(a []byte, frames int, hard bool) (bool, dropReason) {
 			return true, dropNone
 		}
 		why = dropWriteFailed
-		w.m.dropConn(c)
+		w.m.connLost(c)
 	}
 	w.m.t.stats.dropN(why, int64(frames))
 	return false, why
@@ -920,27 +949,41 @@ func (m *pairMux) ensureConn() (net.Conn, dropReason) {
 	}
 	dialTo := m.dialTo
 	init := m.other(dialTo)
+	// While the dial is out, an adopted stream that ends may be the
+	// loser of a simultaneous open, so it is not reported (connLost);
+	// the dial's own outcome is the evidence, a refusal included.
+	m.dialing = true
 	m.mu.Unlock()
+	failed := func(why dropReason) (net.Conn, dropReason) {
+		m.mu.Lock()
+		m.dialing = false
+		m.mu.Unlock()
+		return nil, why
+	}
 
 	t := m.t
 	t.mu.RLock()
 	addr, ok := t.addrs[dialTo]
 	t.mu.RUnlock()
 	if !ok {
-		return nil, dropUnknownPeer
+		return failed(dropUnknownPeer)
 	}
 	c, err := net.DialTimeout("tcp", addr, 2*time.Second)
 	if err != nil {
-		return nil, dropDialFailed
+		if errors.Is(err, syscall.ECONNREFUSED) {
+			t.noteClosed(dialTo, init) // nothing listens at dialTo's address
+		}
+		return failed(dropDialFailed)
 	}
 	if err := WriteFrame(c, Frame{From: init.String(), To: dialTo.String(), Body: muxHello{}}); err != nil {
 		c.Close()
-		return nil, dropDialFailed
+		return failed(dropDialFailed)
 	}
 	if h := tcpPostDialHook; h != nil {
 		h(init, dialTo)
 	}
 	m.mu.Lock()
+	m.dialing = false
 	if m.stopped {
 		m.mu.Unlock()
 		c.Close()
@@ -981,14 +1024,30 @@ func (m *pairMux) ensureConn() (net.Conn, dropReason) {
 
 // dropConn clears c from the mux if it is the established connection and
 // closes it; the writer redials (or picks up an adopted replacement) on
-// the next frame.
-func (m *pairMux) dropConn(c net.Conn) {
+// the next frame. It reports whether losing c is evidence about the far
+// end: c was the established connection of a running mux and no dial of
+// this end's was out. A rival replaced in a simultaneous open, or a
+// socket that stop already detached, was never established.
+func (m *pairMux) dropConn(c net.Conn) bool {
 	m.mu.Lock()
-	if m.conn == c {
+	established := m.conn == c
+	if established {
 		m.conn, m.connInit = nil, ids.Nil
 	}
+	evidence := established && !m.dialing
 	m.mu.Unlock()
 	c.Close()
+	return evidence
+}
+
+// connLost is dropConn for a stream that ended without this side closing
+// it — EOF or a failed write. If c was the pair's established stream,
+// each end registered here gets closed-stream evidence about the other.
+func (m *pairMux) connLost(c net.Conn) {
+	if m.dropConn(c) {
+		m.t.noteClosed(m.key.a, m.key.b)
+		m.t.noteClosed(m.key.b, m.key.a)
+	}
 }
 
 // stop tears the mux down: queued frames are discarded and the writer

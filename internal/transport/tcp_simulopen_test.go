@@ -248,3 +248,50 @@ func TestTCPOwnLoopbackLegIsNotARival(t *testing.T) {
 		t.Fatalf("stats = %+v, want no drop", st)
 	}
 }
+
+// TestTCPRivalClosedDuringSimultaneousOpenIsNotEvidence: while a's dial
+// to b is out, b's opposing leg is adopted and then closed by b — the
+// loser of a simultaneous open going away, not b. That stream ending must
+// not hand a closed-stream evidence about b; the dial's own outcome
+// speaks for b, and here b is alive and the dial succeeds.
+func TestTCPRivalClosedDuringSimultaneousOpenIsNotEvidence(t *testing.T) {
+	trA, trB := NewTCP(), NewTCP()
+	defer trA.Close()
+	defer trB.Close()
+	a, b := ids.Named("a"), ids.Named("b")
+	var sa, sb sink
+	if err := trA.Register(a, sa.handler); err != nil {
+		t.Fatal(err)
+	}
+	if err := trB.Register(b, sb.handler); err != nil {
+		t.Fatal(err)
+	}
+	addrB, _ := trB.Addr(b)
+	trA.AddPeer(b, addrB)
+
+	hookDone := make(chan struct{})
+	tcpPostDialHook = func(init, dialTo ids.ProcID) {
+		tcpPostDialHook = nil
+		defer close(hookDone)
+		raw := injectAdopt(t, trA, b, a) // b's leg, adopted mid-dial
+		raw.Close()                      // ... and abandoned by b
+		m := pairMuxOf(t, trA, a, b)
+		waitFor(t, 5*time.Second, func() bool {
+			m.mu.Lock()
+			defer m.mu.Unlock()
+			return m.conn == nil
+		}, "the rival's stream to end at a")
+	}
+	defer func() { tcpPostDialHook = nil }()
+
+	trA.Send(a, b, Message{MsgID: 1, Payload: fifoPayload{N: 1}})
+	select {
+	case <-hookDone:
+	case <-time.After(10 * time.Second):
+		t.Fatal("ensureConn never reached the simultaneous-open window")
+	}
+	waitFor(t, 5*time.Second, func() bool { return sb.len() == 1 }, "the frame over the dialed stream")
+	if got := sa.closedFrom(); len(got) != 0 {
+		t.Fatalf("a rival's close handed a evidence about %v", got)
+	}
+}

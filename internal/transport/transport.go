@@ -14,6 +14,18 @@ type Message struct {
 	Payload any
 }
 
+// PeerClosed is closed-stream evidence, delivered to a registered
+// process q as a message from peer p. The TCP stream plane sends it when
+// q's established pair stream with p ends without q's side closing it
+// (EOF or a failed write), when a dial from q to p's address is refused,
+// and when Unregister(p) stops a pair whose other end q is registered on
+// the same instance — the same-host model of the kernel closing a dead
+// process's sockets. It never fires for a rival socket closed during a
+// simultaneous open, for q's own Unregister or Close, or on Inmem or
+// UDP. It is synthesized at the receiver and never encoded, so TwoPlane
+// and Chaos pass it through unchanged.
+type PeerClosed struct{}
+
 // Handler consumes messages delivered to a registered process. Transports
 // call handlers from their own delivery goroutines, one message at a time
 // per channel; handlers must not block (the live runtime's handlers only
@@ -28,8 +40,12 @@ type Handler func(from ids.ProcID, m Message)
 //   - Messages on one directed channel (from, to) are delivered in send
 //     order — the reliable-FIFO channel property of §2.1.
 //   - A send to an unregistered (or unreachable) process is silently
-//     dropped, exactly like a datagram to a dead host; the failure
-//     detector, not the transport, is responsible for noticing silence.
+//     dropped, exactly like a datagram to a dead host. The failure
+//     detector decides who has failed; the transport never does.
+//   - A transport may hand a process closed-stream evidence about a peer
+//     (PeerClosed). The evidence is a hint, never a verdict: it only
+//     shortens how long the detector waits for silence, so a live peer
+//     that keeps beaconing is never suspected on its account.
 //   - Close tears the whole substrate down; all subsequent operations are
 //     no-ops.
 type Transport interface {

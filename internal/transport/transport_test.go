@@ -286,6 +286,54 @@ func TestTCPMisaddressedFrameDropped(t *testing.T) {
 	}
 }
 
+// TestTCPReplayedSequencedFrameDropped: sequenced frames on one stream
+// must advance their channel's mux sequence. A frame replayed within the
+// stream (Seq 2 again, then Seq 1) is dropped, so the handler sees each
+// of 1, 2, 3 exactly once and in order — the §2.1 FIFO channel, checked
+// on the wire.
+func TestTCPReplayedSequencedFrameDropped(t *testing.T) {
+	tr := NewTCP()
+	defer tr.Close()
+	b := ids.Named("b")
+	var s sink
+	if err := tr.Register(b, s.handler); err != nil {
+		t.Fatal(err)
+	}
+	addr, _ := tr.Addr(b)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for _, seq := range []uint64{1, 2, 2, 1, 3} {
+		f := Frame{From: "a", To: "b", Seq: seq, MsgID: int64(seq), Body: fifoPayload{N: int(seq)}}
+		if err := WriteFrame(conn, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One reader handles the stream in order, so once Seq 3 is in, both
+	// replays ahead of it have been judged.
+	waitFor(t, 5*time.Second, func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		for _, m := range s.got {
+			if m.MsgID == 3 {
+				return true
+			}
+		}
+		return false
+	}, "the frame with Seq 3")
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var got []int
+	for _, m := range s.got {
+		got = append(got, m.Payload.(fifoPayload).N)
+	}
+	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+		t.Fatalf("delivered %v, want [1 2 3]: replayed frames must be dropped", got)
+	}
+}
+
 // TestTCPOneConnectionPerPair is the mux acceptance test: a fully
 // connected group of n processes exchanging traffic on every directed
 // channel must open exactly n(n−1)/2 connections — one per unordered peer

@@ -1,6 +1,7 @@
 package procgroup
 
 import (
+	"errors"
 	"sync"
 	"time"
 
@@ -61,7 +62,7 @@ const (
 // survives any crash or view change.
 type ReplicaSet struct {
 	machine func() StateMachine
-	rec     *rsm.Recorder
+	rec     *rsm.Recorder // nil unless WithCertification
 	batch   BatchConfig
 	ack     AckConfig
 
@@ -70,11 +71,12 @@ type ReplicaSet struct {
 }
 
 // NewReplicaSet builds a replica set over any state machine; machine is
-// called once per spawned member and must return a fresh instance.
+// called once per spawned member and must return a fresh instance. The
+// set records nothing for certification unless WithCertification is
+// called, so its memory does not grow with the commands it applies.
 func NewReplicaSet(machine func() StateMachine) *ReplicaSet {
 	return &ReplicaSet{
 		machine: machine,
-		rec:     rsm.NewRecorder(),
 		nodes:   make(map[ProcID]*Replica),
 	}
 }
@@ -91,6 +93,17 @@ func NewReplicatedKV() *ReplicaSet {
 // returns the set for chaining.
 func (s *ReplicaSet) WithBatching(batch BatchConfig, ack AckConfig) *ReplicaSet {
 	s.batch, s.ack = batch, ack
+	return s
+}
+
+// WithCertification records every order position each replica
+// processes, which CheckTotalOrder needs. The record keeps a copy of
+// every applied command at every replica and is never trimmed (about
+// 0.84 KB per put on a five-member set), so it is for tests and bounded
+// runs, not for a long-lived set. Call before StartGroup; returns the set
+// for chaining.
+func (s *ReplicaSet) WithCertification() *ReplicaSet {
+	s.rec = rsm.NewRecorder()
 	return s
 }
 
@@ -119,7 +132,8 @@ func (s *ReplicaSet) Replica(p ProcID) *Replica {
 	return s.nodes[p]
 }
 
-// Recorder exposes the shared order recorder for the checkers.
+// Recorder exposes the shared order recorder for the checkers; nil
+// unless the set was built WithCertification.
 func (s *ReplicaSet) Recorder() *ReplicaRecorder { return s.rec }
 
 // Stats sums the broadcast and read-path counters over every replica
@@ -139,8 +153,12 @@ func (s *ReplicaSet) Stats() ReplicaStats {
 // CheckTotalOrder certifies the recorded histories: every replica applied
 // the same total order (exactly-once, pairwise consistent under joiner
 // alignment, per-view slot agreement), and the replicas in alive
-// converged on the same final command. Nil means certified.
+// converged on the same final command. Nil means certified. It needs a
+// set built WithCertification and returns an error otherwise.
 func (s *ReplicaSet) CheckTotalOrder(alive []ProcID) error {
+	if s.rec == nil {
+		return errors.New("procgroup: CheckTotalOrder needs a ReplicaSet built WithCertification(); this one recorded nothing")
+	}
 	return rsm.CheckTotalOrder(s.rec.Sequences(), alive)
 }
 
