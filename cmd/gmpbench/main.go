@@ -5,10 +5,10 @@
 //
 //	gmpbench              # run everything
 //	gmpbench -exp table1  # one experiment: table1, complexity, worstcase,
-//	                      # figures, claims, churn, cuts, ablation, transport
+//	                      # figures, claims, churn, cuts, ablation, saturation
 //	gmpbench -seed 7      # change the schedule seed
-//	gmpbench -exp transport -transport-out BENCH_transport.json
-//	                      # E15 wire-path microbenches, machine-readable
+//	gmpbench -exp saturation -transport-out BENCH_transport.json
+//	                      # E18 detector quality per wire plane, machine-readable
 //	gmpbench -exp qos -qos-out BENCH_fd.json
 //	                      # E22 detector QoS under hostile timing
 //	gmpbench -exp scale -scale-out BENCH_scale.json
@@ -33,9 +33,8 @@ func main() {
 		os.Exit(runMember(os.Args[2:]))
 	}
 	forceMultiProc()
-	exp := flag.String("exp", "all", "experiment to run: all, table1, complexity, worstcase, figures, claims, churn, cuts, ablation, transport, saturation, qos, scale, kv")
+	exp := flag.String("exp", "all", "experiment to run: all, table1, complexity, worstcase, figures, claims, churn, cuts, ablation, saturation, qos, scale, kv")
 	seed := flag.Int64("seed", 1, "schedule seed")
-	flag.StringVar(&transportOut, "transport-out", "", "write the transport experiment's results as JSON to this path (e.g. BENCH_transport.json)")
 	scaleFlags()
 	mprocFlags()
 	satFlags()
@@ -71,13 +70,7 @@ func main() {
 	run("churn", churn)
 	run("cuts", cuts)
 	run("ablation", ablation)
-	run("transport", transportPerf)
-	// Standalone saturation runs skip E15's microbenches (CI smoke);
-	// "all" already covers the arms via transportPerf.
-	if *exp == "saturation" {
-		satPerf()
-		fmt.Println()
-	}
+	run("saturation", satPerf)
 	run("qos", qosPerf)
 	run("scale", scalePerf)
 	run("kv", kvPerf)

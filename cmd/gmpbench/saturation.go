@@ -1,17 +1,18 @@
-// E18: the bulk-traffic-neighbor saturation arm of the transport
-// experiment. One member saturates its link to its monitor with bulk
-// frames (a replication stream to a peer). On the single-plane TCP
-// wire that member's beacons — its only liveness evidence under ring
-// monitoring — share a FIFO channel with the bulk: each beacon drains
-// behind megabytes of queued data and coalescing keeps a new one from
-// even enqueueing, so the monitor's timeout reads the queue as silence.
-// On the two-plane wire the same beacons ride UDP datagrams the flood
-// cannot touch. The experiment scores both wires, clean and flooded, on
-// false suspicions and kill→exclusion latency, with the GMP checker
-// certifying every run.
+// E18: the bulk-traffic-neighbor saturation experiment. One member
+// saturates its link to its monitor with bulk frames (a replication
+// stream to a peer). On the single-plane TCP wire that member's beacons
+// — its only liveness evidence under ring monitoring — are ordinary
+// sequenced frames in the same FIFO channel as the bulk: each one
+// queues behind megabytes of data, so the monitor's timeout reads the
+// queue as silence. On the two-plane wire the same beacons ride UDP
+// datagrams the flood cannot touch. The experiment scores both wires,
+// clean and flooded, on false suspicions and kill→exclusion latency,
+// with the GMP checker certifying every run; -transport-out writes the
+// results as BENCH_transport.json.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -28,14 +29,23 @@ import (
 
 // saturation experiment flags.
 var (
-	satWarmup time.Duration
-	satBulkKB int
+	satWarmup    time.Duration
+	satBulkKB    int
+	transportOut string
 )
 
 func satFlags() {
 	flag.DurationVar(&satWarmup, "sat-warmup", 1500*time.Millisecond,
 		"flooded observation window before the kill (false-suspicion sampling)")
 	flag.IntVar(&satBulkKB, "sat-bulk-kb", 64, "bulk frame size in KiB for the saturation arm")
+	flag.StringVar(&transportOut, "transport-out", "", "write the saturation experiment's results as JSON to this path (e.g. BENCH_transport.json)")
+}
+
+// transportReport is the BENCH_transport.json schema.
+type transportReport struct {
+	GeneratedBy string   `json:"generated_by"`
+	Env         benchEnv `json:"env"`
+	Saturation  []satArm `json:"saturation"`
 }
 
 // satBulk is the saturating payload: an opaque blob riding the group's
@@ -49,8 +59,7 @@ func (satBulk) SubstrateTraffic() {}
 // MsgLabel implements netsim.Labeled for uniform counting.
 func (satBulk) MsgLabel() string { return "SatBulk" }
 
-// satBulkKind is the payload's wire kind (≥ 16: substrate layer; 201 is
-// gmpbench's beacon, see transport.go).
+// satBulkKind is the payload's wire kind (≥ 16: substrate layer).
 const satBulkKind = 202
 
 func init() {
@@ -121,11 +130,10 @@ func runSatArm(wire string, flooded bool) (satArm, error) {
 	// members[i+1]. The victim s floods bulk data at its sole monitor w
 	// — a replication stream to a peer is the textbook case — so on the
 	// single-plane wire the bulk frames and the beacons carrying s's
-	// only liveness evidence share one FIFO channel: each beacon queues
-	// behind megabytes of bulk, and beacon coalescing means a new
-	// sample cannot even enqueue until the previous one drains. Neither
-	// process is the coordinator: the samples measure exclusion, not
-	// reconfiguration.
+	// only liveness evidence share one FIFO channel: every beacon is a
+	// sequenced frame queued behind megabytes of bulk, delivered only
+	// once everything ahead of it has drained. Neither process is the
+	// coordinator: the samples measure exclusion, not reconfiguration.
 	members := v.Members()
 	w, s := members[1], members[2]
 
@@ -244,9 +252,9 @@ func runSatArm(wire string, flooded bool) (satArm, error) {
 	return arm, nil
 }
 
-// satPerf runs the four arms and prints the comparison; called from
-// transportPerf so the results land in BENCH_transport.json.
-func satPerf() []satArm {
+// satPerf runs the four arms, prints the comparison, and writes it to
+// -transport-out when set.
+func satPerf(int64) {
 	fmt.Println("-- E18 · neighbor-saturation: detector quality per wire plane --")
 	var arms []satArm
 	for _, wire := range []string{"tcp-shared", "two-plane-udp"} {
@@ -275,7 +283,24 @@ func satPerf() []satArm {
 	}
 	w.Flush()
 	fmt.Println("note: on the shared TCP channel the victim's beacons queue FIFO behind its own")
-	fmt.Println("      bulk stream (delay + coalescing read as silence past the timeout); on")
-	fmt.Println("      the UDP beacon plane the same flood cannot touch them.")
-	return arms
+	fmt.Println("      bulk stream (the delay reads as silence past the timeout); on the UDP")
+	fmt.Println("      beacon plane the same flood cannot touch them.")
+
+	if transportOut == "" {
+		return
+	}
+	blob, err := json.MarshalIndent(transportReport{
+		GeneratedBy: "gmpbench -exp saturation",
+		Env:         captureEnv(),
+		Saturation:  arms,
+	}, "", "  ")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "transport report:", err)
+		return
+	}
+	if err := os.WriteFile(transportOut, append(blob, '\n'), 0o644); err != nil {
+		fmt.Fprintln(os.Stderr, "transport report:", err)
+		return
+	}
+	fmt.Println("wrote", transportOut)
 }

@@ -1,12 +1,11 @@
 // E17: the monitoring-topology scaling sweep. The paper's F1 never asks
 // for all-to-all observation, yet the pre-topology live runtime beaconed
-// every peer and the TCP transport carried one multiplexed link per
-// communicating pair — O(n²) beacons and sockets. This experiment
-// measures what decoupling monitoring from membership buys: n × {Full,
-// RingK} × {inmem, tcp}, scoring steady-state beacon rate, established
-// connections (Stats.ConnsOpen — measured, not asserted), exclusion
-// latency, and false suspicions, with the GMP checker certifying every
-// arm.
+// every peer — O(n²) beacons. This experiment measures what decoupling
+// monitoring from membership buys: n × {Full, RingK} on the in-process
+// wire, scoring steady-state beacon rate, exclusion latency, and false
+// suspicions, with the GMP checker certifying every arm. Connection
+// counts on the network wire come from the multi-process arms (E19,
+// mproc.go), which run TwoPlane and report established connections.
 package main
 
 import (
@@ -79,9 +78,9 @@ type scaleArm struct {
 	SuspicionFrames int64 `json:"suspicion_frames,omitempty"`
 
 	BeaconsPerSec float64 `json:"beacons_per_sec"`
-	// ConnsOpen is the transport's established-connection gauge sampled
-	// at the end of the steady window (0 on inmem); FullMeshConns is the
-	// n(n−1)/2 reference an all-to-all group settles at over TCP.
+	// ConnsOpen is the transport's established-connection gauge (mproc
+	// arms only; 0 on inmem); FullMeshConns is the n(n−1)/2 reference an
+	// all-to-all group settles at over TCP.
 	ConnsOpen     int64   `json:"conns_open"`
 	FullMeshConns int     `json:"full_mesh_conns"`
 	ExclMs        float64 `json:"excl_ms"`
@@ -94,7 +93,6 @@ type scaleRatio struct {
 	N           int     `json:"n"`
 	Transport   string  `json:"transport"`
 	BeaconRatio float64 `json:"beacon_ratio_full_over_ring"`
-	ConnRatio   float64 `json:"conn_ratio_full_over_ring,omitempty"`
 }
 
 // scaleReport is the BENCH_scale.json schema.
@@ -130,21 +128,13 @@ func scaleSizes() []int {
 	return ns
 }
 
-// runScaleArm boots one live group, samples its steady state for the
-// window, then kills the most junior non-coordinator and times the
-// exclusion, auditing the trace for spurious suspicions and GMP.
-func runScaleArm(n int, topoName string, topo topology.Topology, transportName string) (scaleArm, error) {
-	arm := scaleArm{N: n, Topology: topoName, Transport: transportName, FullMeshConns: n * (n - 1) / 2}
-	var inner transport.Transport
-	switch transportName {
-	case "inmem":
-		inner = transport.NewInmem()
-	case "tcp":
-		inner = transport.NewTCP()
-	default:
-		return arm, fmt.Errorf("unknown transport %q", transportName)
-	}
-	bc := &beaconCounter{Transport: inner}
+// runScaleArm boots one live group on the in-process wire, samples its
+// steady state for the window, then kills the most junior
+// non-coordinator and times the exclusion, auditing the trace for
+// spurious suspicions and GMP.
+func runScaleArm(n int, topoName string, topo topology.Topology) (scaleArm, error) {
+	arm := scaleArm{N: n, Topology: topoName, Transport: "inmem"}
+	bc := &beaconCounter{Transport: transport.NewInmem()}
 	c := live.Start(live.Options{
 		N:              n,
 		HeartbeatEvery: scaleHeartbeat,
@@ -157,14 +147,13 @@ func runScaleArm(n int, topoName string, topo topology.Topology, transportName s
 		return arm, fmt.Errorf("bootstrap: %w", err)
 	}
 
-	// Steady state: let the beacon pattern (and TCP's lazy dials)
-	// settle, then sample a clean window.
+	// Steady state: let the beacon pattern settle, then sample a clean
+	// window.
 	time.Sleep(3 * scaleHeartbeat)
 	bc.n.Store(0)
 	start := time.Now()
 	time.Sleep(scaleWindow)
 	arm.BeaconsPerSec = float64(bc.n.Load()) / time.Since(start).Seconds()
-	arm.ConnsOpen = c.TransportStats().ConnsOpen
 
 	// Exclusion: kill the most junior member that is not the
 	// coordinator, so the sample measures the two-phase path (under
@@ -203,7 +192,7 @@ func runScaleArm(n int, topoName string, topo topology.Topology, transportName s
 	})
 	arm.CheckerOK = rep.OK()
 	if !arm.CheckerOK {
-		fmt.Fprintf(os.Stderr, "scale arm n=%d %s/%s checker violations:\n%v\n", n, topoName, transportName, rep)
+		fmt.Fprintf(os.Stderr, "scale arm n=%d %s checker violations:\n%v\n", n, topoName, rep)
 	}
 	return arm, nil
 }
@@ -225,54 +214,45 @@ func scalePerf(int64) {
 		{"full", topology.Full{}},
 		{fmt.Sprintf("ring-%d", scaleK), topology.RingK{K: scaleK}},
 	}
-	byKey := map[string]scaleArm{}
-	key := func(n int, topoName, transportName string) string {
-		return fmt.Sprintf("%d/%s/%s", n, topoName, transportName)
+	type armKey struct {
+		n    int
+		topo string
 	}
+	byKey := map[armKey]scaleArm{}
 	for _, n := range scaleSizes() {
-		for _, transportName := range []string{"inmem", "tcp"} {
-			for _, tp := range topos {
-				arm, err := runScaleArm(n, tp.name, tp.topo, transportName)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "scale arm n=%d %s/%s: %v\n", n, tp.name, transportName, err)
-					continue
-				}
-				rep.Arms = append(rep.Arms, arm)
-				byKey[key(n, tp.name, transportName)] = arm
+		for _, tp := range topos {
+			arm, err := runScaleArm(n, tp.name, tp.topo)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "scale arm n=%d %s: %v\n", n, tp.name, err)
+				continue
 			}
+			rep.Arms = append(rep.Arms, arm)
+			byKey[armKey{n, tp.name}] = arm
 		}
 	}
 
 	w := tw()
-	fmt.Fprintln(w, "n\ttransport\ttopology\tbeacons/s\tconns\tfull-mesh\texcl (ms)\tfalse susp\tGMP")
+	fmt.Fprintln(w, "n\ttransport\ttopology\tbeacons/s\texcl (ms)\tfalse susp\tGMP")
 	for _, arm := range rep.Arms {
 		verdict := "ok"
 		if !arm.CheckerOK {
 			verdict = "VIOLATED"
 		}
-		fmt.Fprintf(w, "%d\t%s\t%s\t%.0f\t%d\t%d\t%.0f\t%d\t%s\n",
-			arm.N, arm.Transport, arm.Topology, arm.BeaconsPerSec, arm.ConnsOpen,
-			arm.FullMeshConns, arm.ExclMs, arm.FalseSuspects, verdict)
+		fmt.Fprintf(w, "%d\t%s\t%s\t%.0f\t%.0f\t%d\t%s\n",
+			arm.N, arm.Transport, arm.Topology, arm.BeaconsPerSec, arm.ExclMs, arm.FalseSuspects, verdict)
 	}
 	w.Flush()
 
 	ringName := topos[1].name
 	for _, n := range scaleSizes() {
-		for _, transportName := range []string{"inmem", "tcp"} {
-			full, okF := byKey[key(n, "full", transportName)]
-			ring, okR := byKey[key(n, ringName, transportName)]
-			if !okF || !okR || ring.BeaconsPerSec == 0 {
-				continue
-			}
-			r := scaleRatio{N: n, Transport: transportName, BeaconRatio: full.BeaconsPerSec / ring.BeaconsPerSec}
-			if transportName == "tcp" && ring.ConnsOpen > 0 {
-				r.ConnRatio = float64(full.ConnsOpen) / float64(ring.ConnsOpen)
-			}
-			rep.Ratios = append(rep.Ratios, r)
-			if transportName == "tcp" {
-				fmt.Printf("n=%-3d tcp: full/ring beacons %.1f×, connections %.1f×\n", n, r.BeaconRatio, r.ConnRatio)
-			}
+		full, okF := byKey[armKey{n, "full"}]
+		ring, okR := byKey[armKey{n, ringName}]
+		if !okF || !okR || ring.BeaconsPerSec == 0 {
+			continue
 		}
+		r := scaleRatio{N: n, Transport: "inmem", BeaconRatio: full.BeaconsPerSec / ring.BeaconsPerSec}
+		rep.Ratios = append(rep.Ratios, r)
+		fmt.Printf("n=%-3d inmem: full/ring beacons %.1f×\n", n, r.BeaconRatio)
 	}
 	fmt.Println("note: F1 only needs every faulty process eventually suspected by SOME live member;")
 	fmt.Println("      ring-k supplies that with O(n·k) beacons and sockets, and suspicion digests")

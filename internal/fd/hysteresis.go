@@ -43,34 +43,25 @@ type HysteresisOptions struct {
 	Dwell time.Duration
 	// FlapPenalty scales the extra dwell a flapping peer earns: the
 	// effective dwell is Dwell·(1 + FlapPenalty·flapScore), where
-	// flapScore counts recovered crossings and decays exponentially.
-	// Zero disables the penalty.
+	// flapScore counts recovered crossings and decays with a 30 s
+	// half-life, and FlapPenalty·flapScore is capped at 8. Zero disables
+	// the penalty.
 	FlapPenalty float64
-	// MaxPenalty caps FlapPenalty·flapScore so a long-lived flapper's
-	// dwell stays bounded (a real crash of a former flapper must still
-	// be detected promptly). Default 8 when the penalty is enabled.
-	MaxPenalty float64
-	// PenaltyHalfLife is the exponential half-life of flapScore: a peer
-	// that stops flapping gradually pays back down to the base dwell.
-	// Default 30s when the penalty is enabled.
-	PenaltyHalfLife time.Duration
 	// Stats, when non-nil, aggregates crossing/mistake accounting. The
 	// same *HysteresisStats may be shared by every detector a Factory
 	// builds, giving a cluster-wide view (the E22 harness does this).
 	Stats *HysteresisStats
 }
 
-func (o HysteresisOptions) withDefaults() HysteresisOptions {
-	if o.FlapPenalty > 0 {
-		if o.MaxPenalty <= 0 {
-			o.MaxPenalty = 8
-		}
-		if o.PenaltyHalfLife <= 0 {
-			o.PenaltyHalfLife = 30 * time.Second
-		}
-	}
-	return o
-}
+const (
+	// maxPenalty caps FlapPenalty·flapScore so a long-lived flapper's
+	// dwell stays bounded (a real crash of a former flapper must still
+	// be detected promptly).
+	maxPenalty = 8
+	// penaltyHalfLife is the exponential half-life of flapScore: a peer
+	// that stops flapping gradually pays back down to the base dwell.
+	penaltyHalfLife = 30 * time.Second
+)
 
 // HysteresisStats is the shared mistake ledger. All counters are atomic so
 // one instance can aggregate across every node of a cluster (each node's
@@ -126,7 +117,7 @@ type Hysteresis struct {
 // NewHysteresis wraps inner with the given hysteresis policy.
 func NewHysteresis(inner Detector, opts HysteresisOptions) *Hysteresis {
 	return &Hysteresis{
-		opts:  opts.withDefaults(),
+		opts:  opts,
 		inner: inner,
 		peers: make(map[ids.ProcID]*hystState),
 	}
@@ -224,27 +215,21 @@ func (h *Hysteresis) Suspect(q ids.ProcID, at time.Time) bool {
 }
 
 // dwell computes q's effective dwell: the base dwell scaled up by the
-// decayed flap score, capped by MaxPenalty.
+// decayed flap score, capped by maxPenalty.
 func (h *Hysteresis) dwell(st *hystState, at time.Time) time.Duration {
 	if h.opts.FlapPenalty <= 0 || st.flap == 0 {
 		return h.opts.Dwell
 	}
 	h.decay(st, at)
-	pen := h.opts.FlapPenalty * st.flap
-	if pen > h.opts.MaxPenalty {
-		pen = h.opts.MaxPenalty
-	}
+	pen := min(h.opts.FlapPenalty*st.flap, maxPenalty)
 	return h.opts.Dwell + time.Duration(pen*float64(h.opts.Dwell))
 }
 
 // decay applies the exponential half-life to st.flap up to time at.
 func (h *Hysteresis) decay(st *hystState, at time.Time) {
-	if h.opts.PenaltyHalfLife <= 0 {
-		return
-	}
 	if !st.flapAt.IsZero() && st.flap > 0 {
 		if dt := at.Sub(st.flapAt); dt > 0 {
-			st.flap *= math.Exp2(-float64(dt) / float64(h.opts.PenaltyHalfLife))
+			st.flap *= math.Exp2(-float64(dt) / float64(penaltyHalfLife))
 		}
 	}
 	st.flapAt = at

@@ -107,9 +107,8 @@ func TestHysteresisFlapPenaltyGrowsDwell(t *testing.T) {
 	// the effective dwell doubles (penalty 1.0), so a second crossing of
 	// the same length that would have confirmed at base dwell is absorbed.
 	h := NewHysteresis(NewTimeout(20*time.Millisecond), HysteresisOptions{
-		Dwell:           10 * time.Millisecond,
-		FlapPenalty:     1,
-		PenaltyHalfLife: time.Hour, // effectively no decay inside the test
+		Dwell:       10 * time.Millisecond,
+		FlapPenalty: 1, // the 30 s half-life barely decays inside the test
 	})
 	q := ids.Named("q")
 	h.ObserveBeacon(q, t0)
@@ -136,12 +135,12 @@ func TestHysteresisFlapPenaltyGrowsDwell(t *testing.T) {
 }
 
 func TestHysteresisPenaltyDecays(t *testing.T) {
-	// The flap score halves per half-life: long after the flapping
-	// stopped, the peer is back to (almost) base dwell.
+	// The flap score halves per 30 s half-life: long after the flapping
+	// stopped, the peer is back to (almost) base dwell. Time is synthetic,
+	// so the test waits for none of it.
 	h := NewHysteresis(NewTimeout(20*time.Millisecond), HysteresisOptions{
-		Dwell:           10 * time.Millisecond,
-		FlapPenalty:     1,
-		PenaltyHalfLife: 100 * time.Millisecond,
+		Dwell:       10 * time.Millisecond,
+		FlapPenalty: 1,
 	})
 	q := ids.Named("q")
 	h.ObserveBeacon(q, t0)
@@ -150,7 +149,7 @@ func TestHysteresisPenaltyDecays(t *testing.T) {
 	h.ObserveBeacon(q, c1.Add(2*time.Millisecond)) // flap: score 1
 
 	// 10 half-lives later the score is ~1/1024: effective dwell ≈ base.
-	c2 := c1.Add(time.Second)
+	c2 := c1.Add(10 * penaltyHalfLife)
 	h.ObserveBeacon(q, c2)
 	c3 := c2.Add(25 * time.Millisecond)
 	h.Suspect(q, c3)

@@ -71,25 +71,33 @@ func TestStarvationStallDoesNotCascadeWithHysteresis(t *testing.T) {
 		t.Fatal(err)
 	}
 	victim := ids.Named("p3")
-	if !stallLoop(c, victim, 60*time.Millisecond) {
-		t.Fatal("victim unreachable before the stall")
-	}
-	// Ride out the stall, the recovery, and a full dwell's worth of margin
-	// during which a confirm would have fired if the dwell had not held.
-	time.Sleep(400 * time.Millisecond)
+	// One stall is not always recovered by the victim's traffic: when the
+	// observers' own loops run late (as under -race), their stall guard
+	// re-arms the crossing, which closes it without charging a mistake.
+	// So the stall repeats, a bounded number of times, until a crossing
+	// has been recovered — and every stall must leave the group alone.
+	for stall := 1; stall <= 5 && stats.Mistakes.Load() == 0; stall++ {
+		if !stallLoop(c, victim, 60*time.Millisecond) {
+			t.Fatalf("victim unreachable before stall %d", stall)
+		}
+		// Ride out the stall, the recovery, and a full dwell's worth of
+		// margin during which a confirm would have fired if the dwell had
+		// not held.
+		time.Sleep(400 * time.Millisecond)
 
-	if got := len(c.Running()); got != 4 {
-		t.Fatalf("%d members running after the stall, want 4 (someone quit)", got)
-	}
-	v := c.ViewOf(ids.Named("p1"))
-	if v == nil || !v.Has(victim) || v.Version() != v0.Version() {
-		t.Fatalf("view changed across a transient stall: %v (was %v)", v, v0)
+		if got := len(c.Running()); got != 4 {
+			t.Fatalf("%d members running after stall %d, want 4 (someone quit)", got, stall)
+		}
+		v := c.ViewOf(ids.Named("p1"))
+		if v == nil || !v.Has(victim) || v.Version() != v0.Version() {
+			t.Fatalf("view changed across transient stall %d: %v (was %v)", stall, v, v0)
+		}
+		if got := stats.Confirms.Load(); got != 0 {
+			t.Fatalf("%d crossings confirmed through the dwell by stall %d, want 0", got, stall)
+		}
 	}
 	if stats.Crossings.Load() == 0 {
 		t.Fatal("stall never crossed the threshold: the scenario did not bite")
-	}
-	if got := stats.Confirms.Load(); got != 0 {
-		t.Errorf("%d crossings confirmed through the dwell, want 0", got)
 	}
 	if stats.Mistakes.Load() == 0 {
 		t.Error("recovered crossings were not accounted as detector mistakes")

@@ -315,7 +315,8 @@ func TestRingOverTCPExcludesKilledMember(t *testing.T) {
 	// lazily-dialed connection count must stay at the ring's footprint
 	// (≤ n·k pairs, well under the full mesh's n(n−1)/2) while exclusion
 	// still works — with the suspicion spread by digests, which ride the
-	// stream here because plain TCP has no beacon plane.
+	// stream here as ordinary sequenced frames, like the heartbeats,
+	// because plain TCP has no beacon plane.
 	const n, k = 6, 2
 	opts := ringOpts(n, k)
 	opts.Transport = transport.NewTCP()

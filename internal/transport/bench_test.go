@@ -1,6 +1,5 @@
-// Wire-path benchmarks: the codec and raw mux-connection throughput. cmd/gmpbench -exp transport runs the
-// same measurements programmatically and emits BENCH_transport.json so
-// the perf trajectory is machine-readable across PRs.
+// Wire-path benchmarks: the codec, raw mux-connection throughput, and a
+// beacon round trip on the datagram plane (EXPERIMENTS.md E15).
 //
 // Run with: go test -bench=. -benchmem ./internal/transport
 package transport
@@ -112,12 +111,12 @@ func BenchmarkTCPThroughput(b *testing.B) {
 	b.ReportMetric(float64(b.N)/elapsed.Seconds(), "frames/sec")
 }
 
-// BenchmarkHeartbeatSend measures the beacon fast path end to end: each
-// op sends one beacon and waits for its delivery, so every iteration
-// exercises the full enqueue → cached-encode → write → read → route
-// path (never the coalescing early-return) and must allocate nothing.
+// BenchmarkHeartbeatSend measures the beacon path end to end on the
+// plane beacons ride, UDP: each op sends one beacon and waits for its
+// delivery, so every iteration exercises the full cached-encode →
+// sendto → read → decode → deliver path.
 func BenchmarkHeartbeatSend(b *testing.B) {
-	tr := NewTCP()
+	tr := NewUDP()
 	defer tr.Close()
 	a, c := ids.Named("a"), ids.Named("b")
 	var received atomic.Int64

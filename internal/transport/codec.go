@@ -77,14 +77,14 @@ type payloadCodec struct {
 	kind  byte
 	typ   reflect.Type
 	empty bool // fieldless payload: decode returns proto, zero allocations
-	// beacon marks idempotent liveness signals (heartbeats): they are
-	// exempt from per-channel mux sequencing (Seq stays 0), their encoded
-	// bytes are cacheable per channel, and queued duplicates coalesce.
+	// beacon marks idempotent liveness signals (heartbeats): TwoPlane
+	// routes them to the datagram plane, whose encoded bytes are
+	// cacheable per channel.
 	beacon bool
 	// volatile marks a beacon whose encoding varies between sends: it
-	// still rides the beacon plane, but the per-channel byte caches and
-	// duplicate coalescing must not apply — a cached first encoding
-	// would silently replay stale contents forever.
+	// still rides the beacon plane, but the per-channel byte cache must
+	// not apply — a cached first encoding would silently replay stale
+	// contents forever.
 	volatile bool
 	// suspicion marks payloads that disseminate failure suspicions;
 	// every send of one increments Stats.SuspicionFrames.
@@ -97,13 +97,12 @@ type payloadCodec struct {
 // PayloadClass refines how a registered binary payload is treated on the
 // wire, beyond its field codec.
 type PayloadClass struct {
-	// Beacon marks an idempotent liveness signal: exempt from mux
-	// sequencing, routed to the datagram plane by TwoPlane when MsgID
-	// is 0.
+	// Beacon marks an idempotent liveness signal, routed to the
+	// datagram plane by TwoPlane when MsgID is 0.
 	Beacon bool
 	// Volatile marks a beacon whose encoded bytes differ between sends,
-	// disabling the per-channel beacon byte caches and coalescing that
-	// assume a beacon kind is identical every time. Meaningless without
+	// disabling the datagram plane's per-channel byte cache, which
+	// assumes a beacon kind is identical every time. Meaningless without
 	// Beacon.
 	Volatile bool
 	// Suspicion marks a payload carrying failure-suspicion
@@ -156,10 +155,9 @@ func RegisterEmptyPayload(kind byte, proto any) {
 	registerBinary(kind, proto, nil, nil, true, PayloadClass{})
 }
 
-// RegisterBeaconPayload registers a fieldless liveness beacon. Beacons get
-// the fast path end to end: cached per-channel encodings (a steady-state
-// beacon send allocates nothing), no mux sequencing, and coalescing of
-// duplicates queued behind a slow link.
+// RegisterBeaconPayload registers a fieldless liveness beacon. TwoPlane
+// sends beacons on its datagram plane, which caches each channel's
+// encoding; on the stream plane a beacon is an ordinary sequenced frame.
 func RegisterBeaconPayload(kind byte, proto any) {
 	registerBinary(kind, proto, nil, nil, true, PayloadClass{Beacon: true})
 }
@@ -168,7 +166,7 @@ func RegisterBeaconPayload(kind byte, proto any) {
 // treatment. It exists for payloads outside the fixed registration
 // shapes above — e.g. a suspicion digest is a beacon (rides the datagram
 // plane at cadence) but Volatile (its entries change between sends, so
-// byte caches must not apply) and Suspicion (its sends are the cost the
+// the byte cache must not apply) and Suspicion (its sends are the cost the
 // digest experiment measures).
 func RegisterClassedPayload(kind byte, proto any, enc func(*Encoder, any), dec func(*Decoder) any, class PayloadClass) {
 	registerBinary(kind, proto, enc, dec, false, class)

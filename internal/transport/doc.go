@@ -14,7 +14,10 @@
 //     unordered peer pair (channel-tagged frames, per-channel FIFO queues
 //     drained by one writer into vectored batches, decoded inline by the
 //     connection's reader), with reconnect — the paper's asynchronous
-//     network made literal. The beacon plane, UDP, sends one datagram
+//     network made literal. It has one frame type and one FIFO rule:
+//     every frame carries its channel's mux sequence, and the reader
+//     drops any frame that does not advance it, an unsequenced one
+//     included. A beacon sent on it is an ordinary sequenced frame. The beacon plane, UDP, sends one datagram
 //     per frame — no ordering, no retransmission, no backpressure. That
 //     is exactly the right contract for beacons, whose information
 //     content is their arrival time: a drop costs one idempotent sample,

@@ -21,8 +21,9 @@ import (
 // one-socket-per-directed-channel design. The §2.1 per-channel FIFO
 // property stays structural: TCP orders bytes within the stream, a single
 // writer goroutine per pair drains the per-channel FIFO queues fairly
-// (round-robin, in-queue order), and every sequenced frame carries a
-// per-channel mux sequence number that the reader checks.
+// (round-robin, in-queue order), and every frame carries a per-channel
+// mux sequence number that the reader checks. The stream carries
+// sequenced frames only: beacons ride TwoPlane's datagram plane.
 //
 // Peers register locally (loopback clusters) or are introduced with
 // AddPeer (cross-host deployments). Sends to a peer that is unknown,
@@ -457,9 +458,11 @@ func (rs *routeState) endpoint(t *TCP, to ids.ProcID) *tcpEndpoint {
 // frame for a process this instance does not host is dropped, not
 // misdelivered — the port-reuse hazard: after a process dies, the OS can
 // hand its ephemeral port to a new listener while senders still dial the
-// stale address. Sequenced frames (Seq > 0) must advance their channel's
-// mux sequence within this connection — the §2.1 FIFO contract made
-// checkable on the wire for the stream's lifetime. Across a reconnect
+// stale address. Every frame must advance its channel's mux sequence
+// within this connection — the §2.1 FIFO contract made checkable on the
+// wire for the stream's lifetime — so an unsequenced frame (Seq 0) is
+// dropped like a replay; only the mux hello, handled before route, is
+// unsequenced. Across a reconnect
 // the check starts fresh: the boundary keeps datagram semantics (a frame
 // retried on the replacement connection can duplicate or reorder against
 // the dying stream's tail), exactly as the one-socket-per-channel design
@@ -477,13 +480,11 @@ func (t *TCP) route(f Frame, rs *routeState) {
 	if ep == nil {
 		return
 	}
-	if f.Seq != 0 {
-		p := rs.seqPtr(chanKey{from, to})
-		if f.Seq <= *p {
-			return // stale or replayed within the stream: never reorder
-		}
-		*p = f.Seq
+	p := rs.seqPtr(chanKey{from, to})
+	if f.Seq <= *p {
+		return // unsequenced, stale or replayed within the stream: never reorder
 	}
+	*p = f.Seq
 	ep.h(from, Message{MsgID: f.MsgID, Payload: f.Body})
 }
 
@@ -560,9 +561,7 @@ func farEndOf(dialed, accepted net.Conn) bool {
 // directed channels between the two ends share one connection; a single
 // writer goroutine drains the per-channel FIFO queues round-robin so no
 // channel can starve another, and each channel's frames enter the byte
-// stream in send order. Pure beacons bypass sequencing, coalesce in the
-// queue, and are written from a cached per-channel encoding — a
-// steady-state heartbeat costs no allocations at all.
+// stream in send order.
 type pairMux struct {
 	t   *TCP
 	key pairKey
@@ -586,16 +585,9 @@ type pairMux struct {
 
 // muxQueue is one directed channel's FIFO of queued frames.
 type muxQueue struct {
-	frames  []muxFrame
-	head    int
-	seq     uint64       // last mux sequence stamped on this channel
-	beacons map[byte]int // queued beacon frames per kind (for coalescing)
-}
-
-type muxFrame struct {
-	f          Frame
-	beacon     bool
-	beaconKind byte // valid when beacon: distinct beacon types never coalesce
+	frames []Frame
+	head   int
+	seq    uint64 // last mux sequence stamped on this channel
 }
 
 func (m *pairMux) other(p ids.ProcID) ids.ProcID {
@@ -612,17 +604,10 @@ func (m *pairMux) wakeLocked() {
 	}
 }
 
-// enqueue appends one message to its channel's FIFO queue, reporting
-// false if the mux has been stopped (the caller owns that accounting).
-// Beacons coalesce per kind: a channel never holds more than one
-// undelivered beacon of a given type, because a second one would carry
-// no extra liveness information.
+// enqueue appends one message to its channel's FIFO queue, stamped with
+// the channel's next mux sequence, reporting false if the mux has been
+// stopped (the caller owns that accounting).
 func (m *pairMux) enqueue(k chanKey, msg Message) bool {
-	c := binCodecFor(msg.Payload)
-	// Volatile beacons carry changing contents, so neither coalescing
-	// nor the writer's byte cache may treat them as interchangeable;
-	// they ride the queue as ordinary sequenced frames.
-	beacon := c != nil && c.beacon && !c.volatile && msg.MsgID == 0
 	m.mu.Lock()
 	if m.stopped {
 		m.mu.Unlock()
@@ -638,28 +623,13 @@ func (m *pairMux) enqueue(k chanKey, msg Message) bool {
 		}
 		m.lastK, m.lastQ = k, q
 	}
-	if beacon && q.beacons[c.kind] > 0 {
-		m.mu.Unlock()
-		return true // coalesced into the same-kind beacon already queued
-	}
 	if len(q.frames)-q.head >= tcpQueueDepth {
 		m.mu.Unlock()
 		m.t.stats.queueSaturated.Add(1)
 		return true
 	}
-	f := Frame{From: k.from.String(), To: k.to.String(), MsgID: msg.MsgID, Body: msg.Payload}
-	mf := muxFrame{f: f, beacon: beacon}
-	if beacon {
-		if q.beacons == nil {
-			q.beacons = make(map[byte]int, 1)
-		}
-		q.beacons[c.kind]++
-		mf.beaconKind = c.kind
-	} else {
-		q.seq++
-		mf.f.Seq = q.seq
-	}
-	q.frames = append(q.frames, mf)
+	q.seq++
+	q.frames = append(q.frames, Frame{From: k.from.String(), To: k.to.String(), Seq: q.seq, MsgID: msg.MsgID, Body: msg.Payload})
 	m.pending++
 	depth := len(q.frames) - q.head
 	m.mu.Unlock()
@@ -678,9 +648,9 @@ const (
 
 // popLocked pops the next frame to write, scanning channels round-robin
 // from just past the last one served; m.mu must be held.
-func (m *pairMux) popLocked() (muxFrame, bool) {
+func (m *pairMux) popLocked() (Frame, bool) {
 	if m.pending == 0 {
-		return muxFrame{}, false
+		return Frame{}, false
 	}
 	n := len(m.rr)
 	for i := 0; i < n; i++ {
@@ -689,34 +659,31 @@ func (m *pairMux) popLocked() (muxFrame, bool) {
 		if q.head == len(q.frames) {
 			continue
 		}
-		mf := q.frames[q.head]
-		q.frames[q.head] = muxFrame{}
+		f := q.frames[q.head]
+		q.frames[q.head] = Frame{}
 		q.head++
 		if q.head == len(q.frames) {
 			q.frames, q.head = q.frames[:0], 0
 		}
-		if mf.beacon {
-			q.beacons[mf.beaconKind]--
-		}
 		m.pending--
 		m.rrNext = (slot + 1) % n
-		return mf, true
+		return f, true
 	}
-	return muxFrame{}, false
+	return Frame{}, false
 }
 
 // nextBatch drains every ready channel queue round-robin into dst under
 // ONE lock acquisition, up to the batch frame cap — under backlog the
 // per-frame synchronization cost amortizes across the whole batch.
-func (m *pairMux) nextBatch(dst []muxFrame) []muxFrame {
+func (m *pairMux) nextBatch(dst []Frame) []Frame {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for len(dst) < batchMaxFrames {
-		mf, ok := m.popLocked()
+		f, ok := m.popLocked()
 		if !ok {
 			break
 		}
-		dst = append(dst, mf)
+		dst = append(dst, f)
 	}
 	return dst
 }
@@ -728,7 +695,7 @@ func (m *pairMux) nextBatch(dst []muxFrame) []muxFrame {
 func (m *pairMux) run() {
 	defer m.t.wg.Done()
 	w := muxWriter{m: m}
-	var batch []muxFrame
+	var batch []Frame
 	for {
 		batch = m.nextBatch(batch[:0])
 		if len(batch) == 0 {
@@ -743,58 +710,48 @@ func (m *pairMux) run() {
 	}
 }
 
-// muxWriter owns one writer goroutine's scratch state: the encode arena,
-// the vectored-write buffer list, and the per-channel beacon cache.
+// muxWriter owns one writer goroutine's scratch state: the encode arena
+// and the vectored-write buffer list.
 type muxWriter struct {
-	m       *pairMux
-	arena   []byte
-	bufs    net.Buffers
-	vec     net.Buffers // scratch header consumed by WriteTo
-	beacons map[beaconKey][]byte
+	m     *pairMux
+	arena []byte
+	bufs  net.Buffers
+	vec   net.Buffers // scratch header consumed by WriteTo
 }
 
 // writeBatch encodes the batch into the arena and writes it out in
 // chunks of at most batchMaxBytes, each chunk one vectored write. A
-// failed chunk retries in full on a fresh connection (hard or soft
-// budget per flush) — duplicating across the boundary is permitted
-// datagram semantics, and sequenced frames deduplicate at the reader's
-// mux sequence check. Once a hard chunk is lost the rest of the batch
-// is dropped too: the link stayed down through the whole retry budget,
-// and redialing per chunk would only stall the queues further. A lost
-// heartbeat-only chunk just skips ahead — any protocol frames later in
-// the batch still get their own hard retries.
-func (w *muxWriter) writeBatch(batch []muxFrame) {
+// failed chunk retries in full on a fresh connection — duplicating
+// across the boundary is permitted datagram semantics, and frames
+// deduplicate at the reader's mux sequence check. Once a chunk is lost
+// the rest of the batch is dropped too: the link stayed down through the
+// whole retry budget, and redialing per chunk would only stall the
+// queues further.
+func (w *muxWriter) writeBatch(batch []Frame) {
 	a := w.arena[:0]
-	chunk := 0    // frames encoded into a and not yet written
-	hard := false // chunk holds a frame the reliable-FIFO contract covers
+	chunk := 0 // frames encoded into a and not yet written
 	for i := range batch {
-		mf := &batch[i]
 		var err error
-		if mf.beacon {
-			a, err = w.appendBeacon(a, mf)
-		} else {
-			a, err = appendPrefixed(a, mf.f)
-			hard = true
-		}
+		a, err = appendPrefixed(a, batch[i])
 		if err != nil {
 			w.m.t.stats.drop(dropWriteFailed) // unencodable frame: skip it, keep the batch
 			continue
 		}
 		chunk++
 		if len(a) >= batchMaxBytes {
-			if ok, why := w.flush(a, chunk, hard); !ok && hard {
+			if ok, why := w.flush(a, chunk); !ok {
 				w.m.t.stats.dropN(why, int64(len(batch)-i-1))
 				w.reclaim(a)
 				return
 			}
-			a, chunk, hard = a[:0], 0, false
+			a, chunk = a[:0], 0
 		}
 	}
-	w.flush(a, chunk, hard) // the batch ends here: nothing left to count on failure
+	w.flush(a, chunk) // the batch ends here: nothing left to count on failure
 	w.reclaim(a)
 }
 
-// flushAttempts bounds flush's redial-and-rewrite loop for hard chunks.
+// flushAttempts bounds flush's redial-and-rewrite loop.
 // Protocol frames ride the stream plane on the paper's reliable-FIFO
 // contract (§2.1) and nothing above the transport retransmits, so a
 // transiently unreachable peer (a dial racing a simultaneous open, an
@@ -806,17 +763,7 @@ func (w *muxWriter) writeBatch(batch []muxFrame) {
 // not the dial timeouts; the budget is sized for a host descheduled for
 // whole seconds, as happens with hundreds of member processes per core
 // in the E19 harness.)
-//
-// Heartbeat-only chunks get soft treatment instead — one immediate
-// retry, no backoff: a beacon's information content is its arrival
-// time, so a beacon held back by backoff sleeps is worse than a beacon
-// dropped (the next one is a fresh sample one interval later, while a
-// stale one distorts every inter-arrival the detector fits — the §9
-// drop-don't-queue argument, applied to the retry path itself).
 const flushAttempts = 8
-
-// flushSoftAttempts is the retry budget for heartbeat-only chunks.
-const flushSoftAttempts = 2
 
 // flushBackoffCap caps the linear per-attempt backoff.
 const flushBackoffCap = 500 * time.Millisecond
@@ -824,17 +771,13 @@ const flushBackoffCap = 500 * time.Millisecond
 // flush writes a as one vectored write, redialing with backoff on
 // failure; the chunk's frames are accounted as drops only once the link
 // stays unestablishable (or rejected) through every attempt.
-func (w *muxWriter) flush(a []byte, frames int, hard bool) (bool, dropReason) {
+func (w *muxWriter) flush(a []byte, frames int) (bool, dropReason) {
 	if frames == 0 {
 		return true, dropNone
 	}
-	attempts := flushSoftAttempts
-	if hard {
-		attempts = flushAttempts
-	}
 	why := dropWriteFailed
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 && hard {
+	for attempt := 0; attempt < flushAttempts; attempt++ {
+		if attempt > 0 {
 			backoff := min(time.Duration(attempt)*100*time.Millisecond, flushBackoffCap)
 			select {
 			case <-w.m.quit:
@@ -891,39 +834,6 @@ func appendPrefixed(a []byte, f Frame) ([]byte, error) {
 	}
 	binary.BigEndian.PutUint32(b[start:start+4], uint32(body))
 	return b, nil
-}
-
-// beaconKey names one beacon type's traffic on one directed channel.
-type beaconKey struct {
-	ch   chanKey
-	kind byte
-}
-
-// appendBeacon appends a beacon frame's bytes from a per-(channel, kind)
-// cache: a given beacon type is identical every time (no MsgID, no mux
-// sequence), so the steady-state heartbeat path allocates nothing.
-func (w *muxWriter) appendBeacon(a []byte, mf *muxFrame) ([]byte, error) {
-	from, err := ids.Parse(mf.f.From)
-	if err != nil {
-		return a, err
-	}
-	to, err := ids.Parse(mf.f.To)
-	if err != nil {
-		return a, err
-	}
-	k := beaconKey{ch: chanKey{from, to}, kind: mf.beaconKind}
-	if w.beacons == nil {
-		w.beacons = make(map[beaconKey][]byte, 2)
-	}
-	b, ok := w.beacons[k]
-	if !ok {
-		b, err = appendPrefixed(nil, mf.f)
-		if err != nil {
-			return a, err
-		}
-		w.beacons[k] = b
-	}
-	return append(a, b...), nil
 }
 
 // ensureConn returns the pair's connection, dialing (and introducing the

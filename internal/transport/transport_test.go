@@ -276,8 +276,9 @@ func TestTCPMisaddressedFrameDropped(t *testing.T) {
 	if err := WriteFrame(conn, Frame{From: "a", To: "dead", MsgID: 1, Body: fifoPayload{N: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	// A correctly addressed frame on the same stream.
-	if err := WriteFrame(conn, Frame{From: "a", To: "b", MsgID: 2, Body: fifoPayload{N: 2}}); err != nil {
+	// A correctly addressed frame on the same stream; every stream frame
+	// is sequenced.
+	if err := WriteFrame(conn, Frame{From: "a", To: "b", Seq: 1, MsgID: 2, Body: fifoPayload{N: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 5*time.Second, func() bool { return s.len() >= 1 }, "the addressed frame")
@@ -286,11 +287,11 @@ func TestTCPMisaddressedFrameDropped(t *testing.T) {
 	}
 }
 
-// TestTCPReplayedSequencedFrameDropped: sequenced frames on one stream
-// must advance their channel's mux sequence. A frame replayed within the
-// stream (Seq 2 again, then Seq 1) is dropped, so the handler sees each
-// of 1, 2, 3 exactly once and in order — the §2.1 FIFO channel, checked
-// on the wire.
+// TestTCPReplayedSequencedFrameDropped: frames on one stream must
+// advance their channel's mux sequence. An unsequenced frame (Seq 0) and
+// a frame replayed within the stream (Seq 2 again, then Seq 1) are
+// dropped, so the handler sees each of 1, 2, 3 exactly once and in order
+// — the §2.1 FIFO channel, checked on the wire.
 func TestTCPReplayedSequencedFrameDropped(t *testing.T) {
 	tr := NewTCP()
 	defer tr.Close()
@@ -305,14 +306,14 @@ func TestTCPReplayedSequencedFrameDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	for _, seq := range []uint64{1, 2, 2, 1, 3} {
+	for _, seq := range []uint64{1, 0, 2, 2, 1, 3} {
 		f := Frame{From: "a", To: "b", Seq: seq, MsgID: int64(seq), Body: fifoPayload{N: int(seq)}}
 		if err := WriteFrame(conn, f); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// One reader handles the stream in order, so once Seq 3 is in, both
-	// replays ahead of it have been judged.
+	// One reader handles the stream in order, so once Seq 3 is in, every
+	// frame ahead of it has been judged.
 	waitFor(t, 5*time.Second, func() bool {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -330,7 +331,7 @@ func TestTCPReplayedSequencedFrameDropped(t *testing.T) {
 		got = append(got, m.Payload.(fifoPayload).N)
 	}
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("delivered %v, want [1 2 3]: replayed frames must be dropped", got)
+		t.Fatalf("delivered %v, want [1 2 3]: unsequenced and replayed frames must be dropped", got)
 	}
 }
 
@@ -577,67 +578,4 @@ func TestSendCloseRace(t *testing.T) {
 			tr.Send(procs[0], procs[1], Message{MsgID: 1, Payload: fifoPayload{}}) // post-close send must not panic
 		})
 	}
-}
-
-// TestBeaconCoalescingInQueue: beacons queued behind a stuck link
-// coalesce to one queued beacon — a second undelivered beacon carries no
-// extra liveness information — while protocol frames are all retained in
-// FIFO order. tcpPostDialHook holds the pair writer inside its first dial
-// (after it has popped a warm-up frame), so the queue is observed with
-// nothing draining it.
-func TestBeaconCoalescingInQueue(t *testing.T) {
-	tr := NewTCP()
-	defer tr.Close()
-	a, b := ids.Named("a"), ids.Named("b")
-	var s sink
-	if err := tr.Register(a, func(ids.ProcID, Message) {}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Register(b, s.handler); err != nil {
-		t.Fatal(err)
-	}
-	inDial, release := make(chan struct{}), make(chan struct{})
-	tcpPostDialHook = func(ids.ProcID, ids.ProcID) {
-		tcpPostDialHook = nil
-		close(inDial)
-		<-release
-	}
-	defer func() { tcpPostDialHook = nil }()
-	tr.Send(a, b, Message{MsgID: 1, Payload: fifoPayload{N: 0}}) // warm-up: dials
-	select {
-	case <-inDial:
-	case <-time.After(10 * time.Second):
-		close(release)
-		t.Fatal("the pair writer never reached its dial")
-	}
-
-	for i := 0; i < 50; i++ {
-		tr.Send(a, b, Message{Payload: hb{}}) // hb is a registered beacon (bench_test.go)
-	}
-	for i := 0; i < 50; i++ {
-		tr.Send(a, b, Message{MsgID: int64(i + 2), Payload: fifoPayload{N: i + 1}})
-	}
-	m := pairMuxOf(t, tr, a, b)
-	m.mu.Lock()
-	pending := m.pending
-	beacons := 0
-	for _, q := range m.queues {
-		for _, n := range q.beacons {
-			beacons += n
-		}
-	}
-	m.mu.Unlock()
-	close(release)
-	if beacons != 1 {
-		t.Errorf("%d beacons queued, want exactly 1 (coalesced)", beacons)
-	}
-	if pending != 51 {
-		t.Errorf("pending = %d, want 50 protocol frames and 1 beacon", pending)
-	}
-	if sat := tr.Stats().QueueSaturated; sat != 0 {
-		t.Errorf("coalescing counted as drops: QueueSaturated = %d", sat)
-	}
-	// Released, the link delivers the warm-up, the one beacon and the
-	// whole protocol backlog.
-	waitFor(t, 10*time.Second, func() bool { return s.len() == 52 }, "the drained queue")
 }

@@ -166,9 +166,8 @@ func (t *UDP) Send(from, to ids.ProcID, m Message) {
 		return
 	}
 
-	// Beacons send from a per-(channel, kind) byte cache — the 0-alloc
-	// fast path the stream plane's writer has, kept on the datagram plane.
-	// Volatile beacons (digest contents change per send) must skip the
+	// Beacons send from a per-(channel, kind) byte cache, so encoding a
+	// steady-state beacon allocates nothing. Volatile beacons (digest contents change per send) must skip the
 	// cache and take the ordinary encode path below.
 	if c := binCodecFor(m.Payload); c != nil && c.beacon && !c.volatile && m.MsgID == 0 {
 		b := t.beaconBytes(beaconKey{ch: chanKey{from, to}, kind: c.kind}, m)
@@ -196,6 +195,12 @@ func (t *UDP) Send(from, to ids.ProcID, m Message) {
 	t.write(src, b, dst)
 	*bp = b[:0]
 	encBufs.Put(bp)
+}
+
+// beaconKey names one beacon type's traffic on one directed channel.
+type beaconKey struct {
+	ch   chanKey
+	kind byte
 }
 
 // beaconBytes returns (building and caching on first use) the encoded

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The CI docs gate: every package carries a package comment, README.md,
 # DESIGN.md and the package docs name only root constructors that exist,
-# the docs name only tests that exist, and every fenced ```go block in
+# the docs name only tests that exist, the root API matches
+# scripts/api.golden, and every fenced ```go block in
 # README.md is a self-contained program that builds against the current
 # tree (so the README cannot drift from the API).
 set -euo pipefail
@@ -41,6 +42,15 @@ defined=$(grep -rhoE '^func Test[A-Za-z0-9_]*' --include='*_test.go' --exclude-d
   sed 's/^func //' | sort -u)
 check_names "$defined" "which no _test.go defines" \
   '\bTest[A-Z][A-Za-z0-9_]*' README.md DESIGN.md EXPERIMENTS.md $docs_go
+
+echo "== root API golden"
+# The root package's exported surface is pinned in scripts/api.golden, so
+# adding or removing a root name is a reviewed diff of that file. After an
+# intended change: go doc -short . > scripts/api.golden
+if ! diff -u scripts/api.golden <(go doc -short .); then
+  echo "the root API differs from scripts/api.golden (diff above)" >&2
+  exit 1
+fi
 
 echo "== README snippets"
 tmp="readme-snippets-check"
