@@ -5,7 +5,8 @@
 //
 //	gmpbench              # run everything
 //	gmpbench -exp table1  # one experiment: table1, complexity, worstcase,
-//	                      # figures, claims, churn, cuts, ablation, saturation
+//	                      # figures, claims, churn, cuts, ablation,
+//	                      # saturation, qos, scale, kv (others exit 2)
 //	gmpbench -seed 7      # change the schedule seed
 //	gmpbench -exp saturation -transport-out BENCH_transport.json
 //	                      # E18 detector quality per wire plane, machine-readable
@@ -20,6 +21,8 @@ import (
 	"fmt"
 	"os"
 	"runtime/pprof"
+	"slices"
+	"strings"
 	"text/tabwriter"
 
 	"procgroup/internal/experiments"
@@ -33,7 +36,28 @@ func main() {
 		os.Exit(runMember(os.Args[2:]))
 	}
 	forceMultiProc()
-	exp := flag.String("exp", "all", "experiment to run: all, table1, complexity, worstcase, figures, claims, churn, cuts, ablation, saturation, qos, scale, kv")
+	exps := []struct {
+		name string
+		fn   func(int64)
+	}{
+		{"table1", table1},
+		{"complexity", complexity},
+		{"worstcase", worstCase},
+		{"figures", figures},
+		{"claims", claims},
+		{"churn", churn},
+		{"cuts", cuts},
+		{"ablation", ablation},
+		{"saturation", satPerf},
+		{"qos", qosPerf},
+		{"scale", scalePerf},
+		{"kv", kvPerf},
+	}
+	names := []string{"all"}
+	for _, e := range exps {
+		names = append(names, e.name)
+	}
+	exp := flag.String("exp", "all", "experiment to run: "+strings.Join(names, ", "))
 	seed := flag.Int64("seed", 1, "schedule seed")
 	scaleFlags()
 	mprocFlags()
@@ -42,6 +66,10 @@ func main() {
 	qosFlags()
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	flag.Parse()
+	if !slices.Contains(names, *exp) {
+		fmt.Fprintf(os.Stderr, "gmpbench: unknown experiment %q; valid: %s\n", *exp, strings.Join(names, ", "))
+		os.Exit(2)
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -56,24 +84,12 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	run := func(name string, fn func(int64)) {
-		if *exp == "all" || *exp == name {
-			fn(*seed)
+	for _, e := range exps {
+		if *exp == "all" || *exp == e.name {
+			e.fn(*seed)
 			fmt.Println()
 		}
 	}
-	run("table1", table1)
-	run("complexity", complexity)
-	run("worstcase", worstCase)
-	run("figures", figures)
-	run("claims", claims)
-	run("churn", churn)
-	run("cuts", cuts)
-	run("ablation", ablation)
-	run("saturation", satPerf)
-	run("qos", qosPerf)
-	run("scale", scalePerf)
-	run("kv", kvPerf)
 }
 
 func tw() *tabwriter.Writer {

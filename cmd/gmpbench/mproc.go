@@ -294,7 +294,7 @@ func runMprocArm(n int, spec mprocArmSpec) (arm scaleArm, err error) {
 	arm = scaleArm{
 		N: n, Topology: spec.topoName, Transport: "twoplane",
 		Mode:          "mproc",
-		FullMeshConns: n * (n - 1) / 2,
+		FullMeshConns: n * (n - 1),
 	}
 	dir, err := os.MkdirTemp("", "gmpbench-mproc-")
 	if err != nil {
@@ -508,8 +508,9 @@ func runMprocArm(n int, spec mprocArmSpec) (arm scaleArm, err error) {
 		arm.SuspicionFrames += st.Transport.SuspicionFrames
 		conns += st.Transport.ConnsOpen
 	}
-	// Each established pair link is counted by both endpoints.
-	arm.ConnsOpen = conns / 2
+	// Only a link's dialing end counts it, so the sum counts each
+	// directed channel's connection once.
+	arm.ConnsOpen = conns
 
 	rec, err := mergeTraces(members, bases)
 	if err != nil {

@@ -79,8 +79,8 @@ type scaleArm struct {
 
 	BeaconsPerSec float64 `json:"beacons_per_sec"`
 	// ConnsOpen is the transport's established-connection gauge (mproc
-	// arms only; 0 on inmem); FullMeshConns is the n(n−1)/2 reference an
-	// all-to-all group settles at over TCP.
+	// arms only; 0 on inmem); FullMeshConns is the n(n−1) reference an
+	// all-to-all group settles at over TCP, one per directed channel.
 	ConnsOpen     int64   `json:"conns_open"`
 	FullMeshConns int     `json:"full_mesh_conns"`
 	ExclMs        float64 `json:"excl_ms"`

@@ -48,7 +48,7 @@ func FuzzReadBatch(f *testing.F) {
 		e.Byte(kindSeqdBatch)
 		e.String("p1")
 		e.String("p2")
-		e.Uvarint(1)       // mux seq
+		e.Uvarint(1)       // channel seq
 		e.Varint(0)        // msg id
 		e.Uvarint(3)       // ver
 		e.Uvarint(1)       // first seq

@@ -9,5 +9,5 @@
 // for the layer, and its tests demonstrate, on the simulator's
 // deterministic scheduler, that the assumption is implementable rather
 // than assumed. The live stream plane gets the same property from TCP and
-// checks it with per-channel mux sequences (internal/transport).
+// checks it with per-channel sequence numbers (internal/transport).
 package channel

@@ -313,7 +313,7 @@ func TestFullTopologyExplicitMatchesDefault(t *testing.T) {
 func TestRingOverTCPExcludesKilledMember(t *testing.T) {
 	// The whole stack at once: ring-2 monitoring over real sockets. The
 	// lazily-dialed connection count must stay at the ring's footprint
-	// (≤ n·k pairs, well under the full mesh's n(n−1)/2) while exclusion
+	// (≤ n·k channels, well under the full mesh's n(n−1)) while exclusion
 	// still works — with the suspicion spread by digests, which ride the
 	// stream here as ordinary sequenced frames, like the heartbeats,
 	// because plain TCP has no beacon plane.
@@ -328,7 +328,7 @@ func TestRingOverTCPExcludesKilledMember(t *testing.T) {
 	// Let the beacon pattern settle, then check the gauge.
 	time.Sleep(10 * opts.HeartbeatEvery)
 	if conns, max := c.TransportStats().ConnsOpen, int64(n*k); conns == 0 || conns > max {
-		t.Errorf("ring ConnsOpen = %d, want 1..%d (full mesh would be %d)", conns, max, n*(n-1)/2)
+		t.Errorf("ring ConnsOpen = %d, want 1..%d (full mesh would be %d)", conns, max, n*(n-1))
 	}
 	victim := ids.Named("p4")
 	c.Kill(victim)

@@ -88,7 +88,7 @@ const DefaultRingK = 3
 // ring, and each process monitors its K rank-successors (and is therefore
 // monitored by its K rank-predecessors, the set it beacons to). Beacon
 // traffic is O(n·k) instead of O(n²) and a socket transport's lazy dialing
-// opens ~n·k connections instead of n(n−1)/2.
+// opens ~n·k connections instead of n(n−1), one per directed channel.
 //
 // The ring is recomputed from the membership list on every call, so each
 // view installation re-closes it around excluded members — k consecutive

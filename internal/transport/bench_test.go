@@ -1,4 +1,4 @@
-// Wire-path benchmarks: the codec, raw mux-connection throughput, and a
+// Wire-path benchmarks: the codec, raw stream-connection throughput, and a
 // beacon round trip on the datagram plane (EXPERIMENTS.md E15).
 //
 // Run with: go test -bench=. -benchmem ./internal/transport
@@ -67,7 +67,7 @@ func BenchmarkFrameCodec(b *testing.B) {
 	})
 }
 
-// BenchmarkTCPThroughput pushes frames through one mux connection and
+// BenchmarkTCPThroughput pushes frames through one channel connection and
 // reports frames/sec end to end (enqueue → writer → socket → reader →
 // handler). The window keeps the sender inside the bounded channel queue
 // so no frame is dropped and every one is awaited.

@@ -72,7 +72,7 @@ type ChaosOptions struct {
 }
 
 // chaosItem is one delayed frame. (chanKey, naming a directed channel, is
-// shared with the TCP mux — see tcp.go.)
+// shared with the TCP links — see tcp.go.)
 type chaosItem struct {
 	at   time.Time
 	from ids.ProcID

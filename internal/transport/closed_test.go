@@ -22,8 +22,8 @@ func (s *sink) closedFrom() []ids.ProcID {
 	return out
 }
 
-// connectedTCP registers a and b on one TCP instance and opens their
-// pair stream with one delivered frame.
+// connectedTCP registers a and b on one TCP instance and opens the a→b
+// stream with one delivered frame.
 func connectedTCP(t *testing.T) (tr *TCP, a, b ids.ProcID, sa, sb *sink) {
 	t.Helper()
 	tr = NewTCP()
@@ -36,20 +36,20 @@ func connectedTCP(t *testing.T) (tr *TCP, a, b ids.ProcID, sa, sb *sink) {
 		t.Fatal(err)
 	}
 	tr.Send(a, b, Message{MsgID: 1, Payload: fifoPayload{N: 1}})
-	waitFor(t, 5*time.Second, func() bool { return sb.len() == 1 }, "the pair's first frame")
+	waitFor(t, 5*time.Second, func() bool { return sb.len() == 1 }, "the channel's first frame")
 	return tr, a, b, sa, sb
 }
 
 // TestTCPUnregisterHandsPeerClosedToRegisteredEnd: the same-host model of
-// a crash. Unregister(b) stops the pair, and a — still registered on the
-// instance — gets exactly one PeerClosed from b. The departing end gets
-// none.
+// a crash. Unregister(b) stops the a→b link, and a — still registered on
+// the instance — gets exactly one PeerClosed from b. The departing end
+// gets none.
 func TestTCPUnregisterHandsPeerClosedToRegisteredEnd(t *testing.T) {
 	tr, _, b, sa, sb := connectedTCP(t)
 	defer tr.Close()
 	tr.Unregister(b)
 	waitFor(t, 5*time.Second, func() bool { return len(sa.closedFrom()) > 0 }, "evidence at a")
-	time.Sleep(50 * time.Millisecond) // let the pair's readers wind down
+	time.Sleep(50 * time.Millisecond) // let the link's readers wind down
 	if got := sa.closedFrom(); len(got) != 1 || got[0] != b {
 		t.Fatalf("a got evidence about %v, want exactly one about %v", got, b)
 	}
@@ -59,8 +59,9 @@ func TestTCPUnregisterHandsPeerClosedToRegisteredEnd(t *testing.T) {
 }
 
 // TestTCPPeerEOFHandsPeerClosed: across two instances (two OS processes
-// in production), the far instance going away ends the stream with EOF,
-// and the surviving end is told. The far end's own Unregister tells it
+// in production), the far instance going away ends the a→b stream with
+// EOF, which a's link sees while blocked in Read, and the surviving end
+// is told. The far end's own Unregister tells it
 // nothing.
 func TestTCPPeerEOFHandsPeerClosed(t *testing.T) {
 	trA, trB := NewTCP(), NewTCP()
@@ -77,7 +78,7 @@ func TestTCPPeerEOFHandsPeerClosed(t *testing.T) {
 	addrB, _ := trB.Addr(b)
 	trA.AddPeer(b, addrB)
 	trA.Send(a, b, Message{MsgID: 1, Payload: fifoPayload{N: 1}})
-	waitFor(t, 5*time.Second, func() bool { return sb.len() == 1 }, "the pair's first frame")
+	waitFor(t, 5*time.Second, func() bool { return sb.len() == 1 }, "the channel's first frame")
 
 	trB.Unregister(b)
 	waitFor(t, 5*time.Second, func() bool { return len(sa.closedFrom()) > 0 }, "evidence at a")

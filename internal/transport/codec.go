@@ -20,7 +20,7 @@ import (
 type Frame struct {
 	From  string // ids.ProcID.String() of the sender
 	To    string // ids.ProcID.String() of the destination
-	Seq   uint64 // per-channel mux sequence (0 = unsequenced, e.g. beacons)
+	Seq   uint64 // per-channel sequence (0 = unsequenced, e.g. beacons)
 	MsgID int64
 	Body  any // a registered protocol payload
 }
@@ -55,7 +55,7 @@ const (
 	kindFaultyReport
 	kindJoinRequest
 	kindStateTransfer
-	kindMuxHello // transport-internal: announces a mux connection's pair
+	_ // 12 is retired (see retiredKinds)
 )
 
 // Substrate layers register their own payloads at kinds ≥ 16; 0–15 are
@@ -66,6 +66,7 @@ const (
 // dropped like any corrupt one) rather than be read as a new vocabulary.
 var retiredKinds = map[byte]string{
 	0:  "the gob escape hatch",
+	12: "the pair mux hello",
 	18: "broadcast.Pub",
 	19: "broadcast.Seqd",
 }
@@ -191,15 +192,7 @@ func binCodecByKind(kind byte) *payloadCodec {
 	return binReg.byKind[kind].Load()
 }
 
-// muxHello announces which unordered peer pair a freshly dialed mux
-// connection serves: From is the initiating end, To the accepted end. It
-// never reaches handlers.
-type muxHello struct{}
-
-func init() {
-	RegisterBeaconPayload(kindMuxHello, muxHello{})
-	registerCoreCodecs()
-}
+func init() { registerCoreCodecs() }
 
 // --- Encoder / Decoder -------------------------------------------------------
 
@@ -543,7 +536,7 @@ func ReadFrame(r io.Reader) (Frame, error) {
 
 // frameReader reads length-prefixed frames from one stream with a
 // reusable body buffer and string interning: the steady-state read path
-// of a mux connection allocates nothing for beacons and only the payload
+// of a stream connection allocates nothing for beacons and only the payload
 // for protocol frames.
 type frameReader struct {
 	r   io.Reader

@@ -48,7 +48,7 @@ func testPayloads() []any {
 
 // TestFrameRoundTrip encodes every protocol message kind through the
 // binary wire codec and checks the decoded frame is structurally
-// identical — including the mux header fields (Seq, MsgID).
+// identical — including the stream header fields (Seq, MsgID).
 func TestFrameRoundTrip(t *testing.T) {
 	for _, payload := range testPayloads() {
 		in := Frame{From: "p1", To: "p3#2", Seq: 9, MsgID: 42, Body: payload}
@@ -132,19 +132,23 @@ func prefixed(body []byte) []byte {
 	return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
 }
 
-// TestRetiredKindsAreRejected: kinds 0 (gob), 18 (Pub) and 19 (Seqd) are
-// unknown kinds now — never interpreted, never reassigned. Both decoders
-// error; TCP counts DecodeFailed and closes the connection like for any
-// corrupt stream; UDP counts it and keeps its socket.
+// TestRetiredKindsAreRejected: kinds 0 (gob), 12 (the pair mux hello),
+// 18 (Pub) and 19 (Seqd) are unknown kinds now — never interpreted, never
+// reassigned. Both decoders error; TCP counts DecodeFailed and closes the
+// connection like for any corrupt stream; UDP counts it and keeps its
+// socket.
 func TestRetiredKindsAreRejected(t *testing.T) {
-	for _, kind := range []byte{0, 18, 19} {
+	for _, kind := range []byte{0, 12, 18, 19} {
 		t.Run(fmt.Sprintf("kind%d", kind), func(t *testing.T) {
 			body := retiredBody(kind)
-			if _, err := DecodeFrame(body); err == nil {
-				t.Error("datagram decoder accepted a retired kind")
-			}
-			if _, err := ReadFrame(bytes.NewReader(prefixed(body))); err == nil {
-				t.Error("stream decoder accepted a retired kind")
+			// The bare header is a fieldless payload's whole frame.
+			for _, b := range [][]byte{body, body[:7]} {
+				if _, err := DecodeFrame(b); err == nil {
+					t.Errorf("datagram decoder accepted a retired kind (%d bytes)", len(b))
+				}
+				if _, err := ReadFrame(bytes.NewReader(prefixed(b))); err == nil {
+					t.Errorf("stream decoder accepted a retired kind (%d bytes)", len(b))
+				}
 			}
 			func() {
 				defer func() {
@@ -332,7 +336,7 @@ func TestDecodeFrameRejectsOverflowingCount(t *testing.T) {
 	e.Byte(kindPropose) // Propose: RL (Seq), Ver, Invis, Faulty
 	e.String("p1")
 	e.String("p2")
-	e.Uvarint(1)       // mux Seq
+	e.Uvarint(1)       // channel Seq
 	e.Varint(1)        // MsgID
 	e.Uvarint(1 << 63) // RL count: n*minElem wraps to 0
 	if _, err := DecodeFrame(e.Bytes()); err == nil {

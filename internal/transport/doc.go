@@ -10,17 +10,19 @@
 //     payloads to a datagram plane and everything else to a stream
 //     plane, so beacons never queue behind protocol traffic
 //     (BeaconPlaner exposes the plane to tests and tools). The stream
-//     plane, TCP, runs one multiplexed length-prefixed binary stream per
-//     unordered peer pair (channel-tagged frames, per-channel FIFO queues
-//     drained by one writer into vectored batches, decoded inline by the
-//     connection's reader), with reconnect — the paper's asynchronous
-//     network made literal. It has one frame type and one FIFO rule:
-//     every frame carries its channel's mux sequence, and the reader
-//     drops any frame that does not advance it, an unsequenced one
-//     included. A beacon sent on it is an ordinary sequenced frame. The beacon plane, UDP, sends one datagram
-//     per frame — no ordering, no retransmission, no backpressure. That
-//     is exactly the right contract for beacons, whose information
-//     content is their arrival time: a drop costs one idempotent sample,
+//     plane, TCP, runs one length-prefixed binary stream per directed
+//     channel p→q — the paper's §2.1 channel made literal: p dials it and
+//     one writer drains the channel's FIFO queue onto it in vectored
+//     batches; q's listener accepts it and decodes inline on the
+//     connection's reader — with reconnect. It has one frame type and
+//     one FIFO rule: every frame carries its channel's sequence, and the
+//     reader drops any frame that does not advance it, an unsequenced one
+//     included, or that comes from a second sender. A beacon sent on it
+//     is an ordinary sequenced frame. The beacon plane, UDP, sends one
+//     datagram per frame — no ordering, no retransmission, no
+//     backpressure. That is exactly the right contract for beacons, whose
+//     information content is their arrival time: a drop costs one
+//     idempotent sample,
 //     while queueing delay (what a shared stream imposes) distorts every
 //     inter-arrival the failure detector fits (DESIGN.md §9). It is the
 //     wrong one for protocol traffic, so the UDP receiver delivers
@@ -43,22 +45,22 @@
 // accounting through Stats, which also gauges send-queue depth (current
 // and high-water) so congestion is observable before it becomes drops,
 // and counts suspicion-class frames (Stats.SuspicionFrames) so the
-// dissemination cost of DESIGN.md §10 is measured at the wire. The TCP stream plane honors the reliable-FIFO contract
-// through transient faults: simultaneous opens resolve to the same
-// socket on both ends (smaller initiator wins; a pair whose two ends
-// share one instance keeps its dialed socket), and the pair writer
-// retries failed dials and writes with backoff before accounting a
-// drop. What the kernel reports about a peer for free — a pair stream
-// that ends under its local end, a refused dial — the stream plane hands
-// the local end as closed-stream evidence (PeerClosed), a hint the
-// detector may use to stop waiting early, never a verdict.
+// dissemination cost of DESIGN.md §10 is measured at the wire. The TCP
+// stream plane honors the reliable-FIFO contract through transient
+// faults: with one writer per connection there is no simultaneous open
+// to resolve, and the channel's writer retries failed dials and writes
+// with backoff before accounting a drop. What the kernel reports about a
+// peer for free — a channel stream that ends under its local end, a
+// refused dial — the stream plane hands the local end as closed-stream
+// evidence (PeerClosed), a hint the detector may use to stop waiting
+// early, never a verdict.
 // The wire codec (Frame, AppendFrame / EncodeFrame / ReadFrame /
 // DecodeFrame) is a hand-rolled binary format — length-prefixed on
 // streams, bare frame body per datagram — covering the whole
 // internal/core wire vocabulary plus whatever substrate layers register.
 // It is the only encoding: a payload type with no registered codec is an
 // encode error, counted by the sending transport as a drop, and a frame
-// whose kind byte is unregistered (retired kinds 0, 18 and 19 included)
+// whose kind byte is unregistered (retired kinds 0, 12, 18 and 19 included)
 // is a decode error. The format is pinned byte-for-byte by golden tests
 // (DESIGN.md §6).
 package transport

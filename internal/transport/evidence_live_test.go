@@ -52,7 +52,7 @@ func evidenceGroup(t *testing.T, n int, suspectAfter time.Duration) (*live.Clust
 }
 
 // nudge is stream traffic the live runtime drops at dispatch. The tests
-// send it to open a pair's stream: a group that has carried no protocol
+// send it to open a channel's stream: a group that has carried no protocol
 // traffic yet has none (its first view is installed from the roster).
 type nudge struct{}
 
@@ -60,7 +60,7 @@ func (nudge) SubstrateTraffic() {}
 
 func init() { transport.RegisterEmptyPayload(220, nudge{}) }
 
-// openStream nudges p→q until the pair's stream is established and
+// openStream nudges p→q until the channel's stream is established and
 // returns it.
 func openStream(t *testing.T, c *live.Cluster, tcp *transport.TCP, p, q ids.ProcID) net.Conn {
 	t.Helper()
@@ -70,7 +70,7 @@ func openStream(t *testing.T, c *live.Cluster, tcp *transport.TCP, p, q ids.Proc
 		}
 		c.Transport().Send(p, q, transport.Message{Payload: nudge{}})
 	}
-	t.Fatalf("the %v–%v stream never came up", p, q)
+	t.Fatalf("the %v→%v stream never came up", p, q)
 	return nil
 }
 
@@ -114,9 +114,9 @@ func TestTwoPlaneKillDetectedInUnderHalfThreshold(t *testing.T) {
 }
 
 // TestTwoPlaneForceClosedStreamOfLivePeerIsNotSuspected: closed-stream
-// evidence is a hint, never a verdict. The pair stream between p1 and p2
-// is torn down again and again while both keep beaconing; each end is
-// handed evidence about the other every time, and neither is ever
+// evidence is a hint, never a verdict. The p1→p2 channel stream is torn
+// down again and again while both keep beaconing; each end is handed
+// evidence about the other every time, and neither is ever
 // suspected, so the group stays in its first view.
 func TestTwoPlaneForceClosedStreamOfLivePeerIsNotSuspected(t *testing.T) {
 	c, tcp, stats, closed := evidenceGroup(t, 5, 120*time.Millisecond)

@@ -6,18 +6,18 @@ import (
 	"procgroup/internal/ids"
 )
 
-// PairStream returns the established stream of pair {p, q}, or nil when
-// the pair has none. Closing it from a test models a reset from the
-// network: the mux keeps running, its reader sees the stream end, and
-// the writer redials on the next frame.
+// PairStream returns the established stream of the p→q link, or nil when
+// the channel has none. Closing it from a test models a reset from the
+// network: the link keeps running, both ends see the stream end, and the
+// writer redials on the next frame.
 func (t *TCP) PairStream(p, q ids.ProcID) net.Conn {
 	t.mu.RLock()
-	m := t.pairs[pairOf(p, q)]
+	l := t.links[chanKey{p, q}]
 	t.mu.RUnlock()
-	if m == nil {
+	if l == nil {
 		return nil
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.conn
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.conn
 }

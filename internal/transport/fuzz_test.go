@@ -39,7 +39,7 @@ func FuzzReadFrame(f *testing.F) {
 	seed(Frame{From: "p2", To: "p1", Seq: 4, MsgID: 7, Body: core.InterrogateOK{
 		Ver: 2, Seq: member.Seq{member.Remove(p3)}, Next: member.Next{member.WildcardFor(ids.Named("p2"))},
 	}})
-	for _, kind := range []byte{0, 18, 19} {
+	for _, kind := range []byte{0, 12, 18, 19} {
 		f.Add(prefixed(retiredBody(kind)))
 	}
 	f.Add([]byte{0x00, 0x00, 0x00, 0x02, 0xfe, 0x01}) // unknown kind
@@ -85,11 +85,11 @@ func FuzzReadDatagram(f *testing.F) {
 	}
 	p3 := ids.ProcID{Site: "p3", Incarnation: 2}
 	seed(Frame{From: "p1", To: "p2", Body: core.OK{Ver: 4}})
-	seed(Frame{From: "p1", To: "p2", Body: muxHello{}}) // beacon-shaped: kind + identifiers only
+	seed(Frame{From: "p1", To: "p2", Body: hb{}}) // beacon-shaped: kind + identifiers only
 	seed(Frame{From: "p1", To: "p3#2", MsgID: 5, Body: core.Commit{
 		Op: member.Remove(p3), Ver: 4, Faulty: []ids.ProcID{p3},
 	}})
-	for _, kind := range []byte{0, 18, 19} {
+	for _, kind := range []byte{0, 12, 18, 19} {
 		f.Add(retiredBody(kind))
 	}
 	f.Add([]byte{})           // zero-length datagram

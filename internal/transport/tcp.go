@@ -15,64 +15,54 @@ import (
 )
 
 // TCP is the socket transport: every registered process owns a listener,
-// and every unordered peer pair {p, q} shares ONE multiplexed connection
-// carrying channel-tagged frames for both directions — n(n−1)/2 sockets
-// for a fully-connected n-process group instead of the n(n−1) of the old
-// one-socket-per-directed-channel design. The §2.1 per-channel FIFO
-// property stays structural: TCP orders bytes within the stream, a single
-// writer goroutine per pair drains the per-channel FIFO queues fairly
-// (round-robin, in-queue order), and every frame carries a per-channel
-// mux sequence number that the reader checks. The stream carries
-// sequenced frames only: beacons ride TwoPlane's datagram plane.
+// and every directed channel p→q that carries traffic is one connection —
+// the paper's §2.1 reliable FIFO channel made literal, n(n−1) sockets for
+// a fully-connected n-process group. p's side dials the link and only
+// ever writes on it: one writer goroutine drains the channel's FIFO queue
+// into vectored batches, stamping each frame with the channel's next
+// sequence number. q's listener accepts the link and only ever reads from
+// it, delivering a frame only if it advances that sequence. With one
+// writer per socket there is nothing to tie-break: two processes that
+// open channels to each other at once simply get two connections. The
+// stream carries sequenced frames only: beacons ride TwoPlane's datagram
+// plane.
 //
 // Peers register locally (loopback clusters) or are introduced with
 // AddPeer (cross-host deployments). Sends to a peer that is unknown,
 // unreachable, or whose channel queue is saturated are dropped — the
 // failure detector owns liveness, the transport only moves bytes — and
 // every drop is counted by reason (Stats). What the kernel says about a
-// peer for free is passed on as closed-stream evidence (PeerClosed): an
-// established pair stream that ends without this side closing it (EOF
-// or a failed write), a refused dial, and — the same-host model of the
-// kernel closing a dead process's sockets — Unregister(p) stopping a
-// pair whose other end is still registered here.
+// peer for free is passed on as closed-stream evidence (PeerClosed): a
+// channel stream that ends without this side closing it (EOF or a failed
+// write), a refused dial, and — the same-host model of the kernel closing
+// a dead process's sockets — Unregister(p) stopping a channel to p whose
+// sender is still registered here.
 type TCP struct {
 	host string
 
 	mu     sync.RWMutex
 	addrs  map[ids.ProcID]string
 	locals map[ids.ProcID]*tcpEndpoint
-	pairs  map[pairKey]*pairMux
+	links  map[chanKey]*link
 	closed bool
 	wg     sync.WaitGroup
 	stats  statCounters
 
-	// localsGen counts mutations of locals; readers cache endpoint
-	// lookups against it (routeState.endpoint).
-	localsGen atomic.Uint64
-
-	// pairsSnap is a copy-on-write snapshot of pairs, republished on
-	// every (rare) mutation, so the Send fast path resolves its mux with
+	// linksSnap is a copy-on-write snapshot of links, republished on
+	// every (rare) mutation, so the Send fast path resolves its link with
 	// one atomic load instead of an RWMutex round trip per frame.
-	pairsSnap atomic.Pointer[map[pairKey]*pairMux]
+	linksSnap atomic.Pointer[map[chanKey]*link]
 }
 
 // chanKey names one directed channel.
 type chanKey struct{ from, to ids.ProcID }
 
-// pairKey names one unordered peer pair, canonically ordered (a ≤ b).
-type pairKey struct{ a, b ids.ProcID }
-
-func pairOf(p, q ids.ProcID) pairKey {
-	if q.Less(p) {
-		p, q = q, p
-	}
-	return pairKey{a: p, b: q}
-}
-
 // tcpEndpoint is one registered process's accepting side.
 type tcpEndpoint struct {
-	ln net.Listener
-	h  Handler
+	self ids.ProcID
+	name string // self.String(), what an addressed frame's To must equal
+	ln   net.Listener
+	h    Handler
 
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
@@ -85,12 +75,6 @@ type tcpEndpoint struct {
 // (A var, not a const, so saturation tests can lower it.)
 var tcpQueueDepth = 1024
 
-// tcpPostDialHook, when non-nil (tests only), runs in ensureConn after
-// the dial and hello succeed but before the pair state is re-examined —
-// the simultaneous-open window, made steerable so the adopt/ensureConn
-// interleaving can be forced deterministically instead of raced.
-var tcpPostDialHook func(init, dialTo ids.ProcID)
-
 // NewTCP builds a TCP transport whose listeners bind loopback.
 func NewTCP() *TCP { return NewTCPHost("127.0.0.1") }
 
@@ -100,7 +84,7 @@ func NewTCPHost(host string) *TCP {
 		host:   host,
 		addrs:  make(map[ids.ProcID]string),
 		locals: make(map[ids.ProcID]*tcpEndpoint),
-		pairs:  make(map[pairKey]*pairMux),
+		links:  make(map[chanKey]*link),
 	}
 }
 
@@ -121,25 +105,26 @@ func (t *TCP) Addr(p ids.ProcID) (string, bool) {
 	return a, ok
 }
 
-// Stats implements Transport. ConnsOpen reports the pair links currently
-// established — the lazily-dialed connection footprint a monitoring
-// topology actually produces (pairs whose mux exists but whose link is
-// down or not yet dialed do not count).
+// Stats implements Transport. ConnsOpen reports the channel links this
+// instance has dialed and currently holds established — the lazily-dialed
+// connection footprint a monitoring topology actually produces. Only the
+// dialing side counts a link, so summing ConnsOpen over every instance of
+// a group counts each connection once.
 func (t *TCP) Stats() Stats {
 	s := t.stats.snapshot()
 	t.mu.RLock()
-	pairs := make([]*pairMux, 0, len(t.pairs))
-	for _, m := range t.pairs {
-		pairs = append(pairs, m)
+	links := make([]*link, 0, len(t.links))
+	for _, l := range t.links {
+		links = append(links, l)
 	}
 	t.mu.RUnlock()
-	for _, m := range pairs {
-		m.mu.Lock()
-		if m.conn != nil {
+	for _, l := range links {
+		l.mu.Lock()
+		if l.conn != nil {
 			s.ConnsOpen++
 		}
-		s.SendQueueNow += int64(m.pending)
-		m.mu.Unlock()
+		s.SendQueueNow += int64(len(l.frames) - l.head)
+		l.mu.Unlock()
 	}
 	return s
 }
@@ -159,9 +144,8 @@ func (t *TCP) Register(p ids.ProcID, h Handler) error {
 	if err != nil {
 		return fmt.Errorf("transport: listen for %v: %w", p, err)
 	}
-	ep := &tcpEndpoint{ln: ln, h: h, conns: make(map[net.Conn]struct{})}
+	ep := &tcpEndpoint{self: p, name: p.String(), ln: ln, h: h, conns: make(map[net.Conn]struct{})}
 	t.locals[p] = ep
-	t.localsGen.Add(1)
 	t.addrs[p] = ln.Addr().String()
 	t.wg.Add(1)
 	go t.accept(ep)
@@ -169,34 +153,34 @@ func (t *TCP) Register(p ids.ProcID, h Handler) error {
 }
 
 // Unregister implements Transport: p's listener, its accepted connections,
-// and every pair mux touching p close, so peers sending to it fail and
-// drop, like a dead host. Channels between other pairs are untouched.
+// and every link from or to p close, so peers sending to it fail and
+// drop, like a dead host. Channels between other processes are untouched.
+// Stopping the links reports nothing; each sender to p registered here is
+// then told once, and the receivers of p's links see their streams end.
 func (t *TCP) Unregister(p ids.ProcID) {
 	t.mu.Lock()
 	ep, ok := t.locals[p]
 	if ok {
 		delete(t.locals, p)
-		t.localsGen.Add(1)
 	}
 	// The stale address stays in addrs: dials to it now fail, which is
 	// exactly the dead-host behavior senders must see.
-	var drop []*pairMux
-	for k, m := range t.pairs {
-		if k.a == p || k.b == p {
-			drop = append(drop, m)
-			delete(t.pairs, k)
+	var drop []*link
+	for k, l := range t.links {
+		if k.from == p || k.to == p {
+			drop = append(drop, l)
+			delete(t.links, k)
 		}
 	}
 	if len(drop) > 0 {
-		t.republishPairsLocked()
+		t.republishLinksLocked()
 	}
 	t.mu.Unlock()
-	// Muxes stop before the endpoint shuts down, so the reader of a pair
-	// stream p's endpoint accepted finds its mux stopped and reports
-	// nothing: the evidence below is the one report.
-	for _, m := range drop {
-		m.stop()
-		t.noteClosed(p, m.other(p))
+	for _, l := range drop {
+		l.stop()
+		if l.to == p {
+			t.noteClosed(p, l.from)
+		}
 	}
 	if ok {
 		ep.shutdown()
@@ -219,7 +203,7 @@ func (t *TCP) noteClosed(p, q ids.ProcID) {
 func (t *TCP) Send(from, to ids.ProcID, m Message) {
 	t.stats.noteSend(m.Payload)
 	if from == to {
-		// Self-sends never touch a socket (there is no {p, p} pair);
+		// Self-sends never touch a socket (there is no p→p link);
 		// deliver directly, matching Inmem's contract.
 		t.mu.RLock()
 		closed := t.closed
@@ -235,69 +219,57 @@ func (t *TCP) Send(from, to ids.ProcID, m Message) {
 		}
 		return
 	}
-	k := pairOf(from, to)
-	// Fast path: resolve the mux from the lock-free snapshot. enqueue
-	// reports false only for a mux stopped since the snapshot — fall
+	k := chanKey{from, to}
+	// Fast path: resolve the link from the lock-free snapshot. enqueue
+	// reports false only for a link stopped since the snapshot — fall
 	// through and let the locked path sort out why.
-	if snap := t.pairsSnap.Load(); snap != nil {
-		if mx := (*snap)[k]; mx != nil && mx.enqueue(chanKey{from, to}, m) {
+	if snap := t.linksSnap.Load(); snap != nil {
+		if l := (*snap)[k]; l != nil && l.enqueue(m) {
 			return
 		}
 	}
-	t.mu.RLock()
-	closed := t.closed
-	mx := t.pairs[k]
-	t.mu.RUnlock()
-	if closed {
+	t.mu.Lock()
+	if t.closed {
+		t.mu.Unlock()
 		t.stats.closed.Add(1)
 		return
 	}
-	if mx == nil {
-		t.mu.Lock()
-		if t.closed {
-			t.mu.Unlock()
-			t.stats.closed.Add(1)
-			return
-		}
-		mx = t.pairs[k]
-		if mx == nil {
-			mx = t.newPairLocked(k, to)
-		}
-		t.mu.Unlock()
+	l := t.links[k]
+	if l == nil {
+		l = t.newLinkLocked(k)
 	}
-	if !mx.enqueue(chanKey{from, to}, m) {
+	t.mu.Unlock()
+	if !l.enqueue(m) {
 		t.stats.closed.Add(1)
 	}
 }
 
-// newPairLocked creates the mux for pair k and starts its writer; t.mu
-// must be held. dialTo is the end this instance dials if it has to
-// establish the link itself.
-func (t *TCP) newPairLocked(k pairKey, dialTo ids.ProcID) *pairMux {
-	m := &pairMux{
-		t:      t,
-		key:    k,
-		dialTo: dialTo,
-		queues: make(map[chanKey]*muxQueue, 2),
-		wake:   make(chan struct{}, 1),
-		quit:   make(chan struct{}),
+// newLinkLocked creates the link for channel k and starts its writer;
+// t.mu must be held.
+func (t *TCP) newLinkLocked(k chanKey) *link {
+	l := &link{
+		t:    t,
+		from: k.from, to: k.to,
+		fromName: k.from.String(), toName: k.to.String(),
+		wake: make(chan struct{}, 1),
+		quit: make(chan struct{}),
 	}
-	t.pairs[k] = m
-	t.republishPairsLocked()
+	t.links[k] = l
+	t.republishLinksLocked()
 	t.wg.Add(1)
-	go m.run()
-	return m
+	go l.run()
+	return l
 }
 
-// republishPairsLocked refreshes the lock-free pairs snapshot; t.mu must
-// be held. Pair churn is rare (creation, unregister, close), so the copy
+// republishLinksLocked refreshes the lock-free links snapshot; t.mu must
+// be held. Link churn is rare (creation, unregister, close), so the copy
 // cost never rides the send path.
-func (t *TCP) republishPairsLocked() {
-	snap := make(map[pairKey]*pairMux, len(t.pairs))
-	for k, m := range t.pairs {
-		snap[k] = m
+func (t *TCP) republishLinksLocked() {
+	snap := make(map[chanKey]*link, len(t.links))
+	for k, l := range t.links {
+		snap[k] = l
 	}
-	t.pairsSnap.Store(&snap)
+	t.linksSnap.Store(&snap)
 }
 
 // Close implements Transport.
@@ -313,19 +285,18 @@ func (t *TCP) Close() error {
 		eps = append(eps, ep)
 	}
 	t.locals = make(map[ids.ProcID]*tcpEndpoint)
-	t.localsGen.Add(1)
-	muxes := make([]*pairMux, 0, len(t.pairs))
-	for _, m := range t.pairs {
-		muxes = append(muxes, m)
+	links := make([]*link, 0, len(t.links))
+	for _, l := range t.links {
+		links = append(links, l)
 	}
-	t.pairs = make(map[pairKey]*pairMux)
-	t.republishPairsLocked()
+	t.links = make(map[chanKey]*link)
+	t.republishLinksLocked()
 	t.mu.Unlock()
+	for _, l := range links {
+		l.stop()
+	}
 	for _, ep := range eps {
 		ep.shutdown()
-	}
-	for _, m := range muxes {
-		m.stop()
 	}
 	t.wg.Wait()
 	return nil
@@ -344,21 +315,39 @@ func (t *TCP) accept(ep *tcpEndpoint) {
 			return
 		}
 		t.wg.Add(1)
-		go t.readConn(c, ep, nil)
+		go t.readConn(c, ep)
 	}
 }
 
-// readConn drains one connection — accepted (ep non-nil) or dialed by a
-// pair writer (m non-nil) — decoding each frame on this goroutine and
-// routing it to the addressed local handler. The stream is buffered, so a
-// frame costs amortized fractions of a read syscall rather than two. A
-// muxHello adopts the connection into its pair's mux so the accepting
-// side can send on the same socket.
-func (t *TCP) readConn(c net.Conn, ep *tcpEndpoint, m *pairMux) {
+// readConn drains one accepted channel stream, decoding each frame on
+// this goroutine and handing it to ep's process. The stream is buffered,
+// so a frame costs amortized fractions of a read syscall rather than two.
+//
+// An accepted stream carries one channel into ep's process. The first
+// frame addressed to ep with a sequence above 0 fixes the stream's
+// sender; a later frame is delivered only if it comes from that sender,
+// is addressed to ep, and advances the channel's sequence. Anything else
+// is dropped, not misdelivered: a frame for another process is the
+// port-reuse hazard (after a process dies, the OS can hand its ephemeral
+// port to a new listener while senders still dial the stale address),
+// and an unsequenced, stale or replayed frame would break §2.1's FIFO
+// contract, checked on the wire for the stream's lifetime. Across a
+// reconnect the check starts fresh: the boundary keeps datagram semantics
+// (a chunk retried on the replacement stream can duplicate frames of the
+// dying stream's tail).
+//
+// A stream that ends under a registered ep — EOF or a read error, not a
+// decode error — is closed-stream evidence about its sender.
+func (t *TCP) readConn(c net.Conn, ep *tcpEndpoint) {
 	defer t.wg.Done()
 	fr := newFrameReader(bufio.NewReaderSize(c, 128<<10))
-	rs := newRouteState()
-	ended := false // the stream ended under us, not by this side's choice
+	var (
+		fixed  bool // the sender is known
+		sender string
+		from   ids.ProcID
+		floor  uint64
+		ended  bool // the stream ended under us, not by a decode error
+	)
 	for {
 		body, err := fr.readBody()
 		if err != nil {
@@ -371,274 +360,88 @@ func (t *TCP) readConn(c net.Conn, ep *tcpEndpoint, m *pairMux) {
 			t.stats.drop(dropDecodeFailed)
 			break
 		}
-		if _, hello := f.Body.(muxHello); hello {
-			mm, keep := t.adopt(f, c)
-			if !keep {
-				break
-			}
-			if mm != nil {
-				m = mm
-			}
-			continue
+		if f.To != ep.name || f.Seq <= floor {
+			continue // misaddressed, unsequenced, stale or replayed: never reorder
 		}
-		t.route(f, rs)
-	}
-	switch {
-	case m != nil && ended:
-		m.connLost(c)
-	case m != nil:
-		m.dropConn(c)
-	}
-	if ep != nil {
-		ep.untrack(c)
-	}
-	c.Close()
-}
-
-// routeState caches one inbound goroutine's routing lookups so the
-// steady-state read path avoids a string-keyed map hash and an RWMutex
-// round per frame. An instance is confined to one connection's reader
-// and dies with the connection — which is what starts the FIFO check
-// fresh across a reconnect.
-type routeState struct {
-	seqs  map[chanKey]*uint64 // per-channel mux sequence floor
-	lastK chanKey             // cache of the channel the previous frame used
-	lastP *uint64
-	eps   [2]epCache // a mux connection serves exactly two destinations
-	next  int
-	gen   uint64
-}
-
-type epCache struct {
-	to ids.ProcID
-	ep *tcpEndpoint
-	ok bool
-}
-
-func newRouteState() *routeState { return &routeState{seqs: make(map[chanKey]*uint64)} }
-
-func (rs *routeState) seqPtr(k chanKey) *uint64 {
-	if rs.lastP != nil && k == rs.lastK {
-		return rs.lastP
-	}
-	p := rs.seqs[k]
-	if p == nil {
-		p = new(uint64)
-		rs.seqs[k] = p
-	}
-	rs.lastK, rs.lastP = k, p
-	return p
-}
-
-// endpoint resolves to's local endpoint through a generation-checked
-// cache: any Register/Unregister bumps t.localsGen, invalidating every
-// cached entry at once, so a cached hit can never outlive the
-// registration it saw.
-func (rs *routeState) endpoint(t *TCP, to ids.ProcID) *tcpEndpoint {
-	if t.localsGen.Load() == rs.gen {
-		for i := range rs.eps {
-			if rs.eps[i].ok && rs.eps[i].to == to {
-				return rs.eps[i].ep
+		if !fixed {
+			p, err := ids.Parse(f.From)
+			if err != nil {
+				continue
 			}
+			fixed, sender, from = true, f.From, p
+		} else if f.From != sender {
+			continue // a second sender on one channel's stream
 		}
+		floor = f.Seq
+		ep.h(from, Message{MsgID: f.MsgID, Payload: f.Body})
 	}
+	ep.untrack(c)
+	if ended && fixed && t.hosts(ep) {
+		ep.h(from, Message{Payload: PeerClosed{}})
+	}
+}
+
+// hosts reports whether ep is still the registered endpoint of its
+// process: a stream ended by the endpoint's own Unregister or Close is
+// no news about the far end.
+func (t *TCP) hosts(ep *tcpEndpoint) bool {
 	t.mu.RLock()
-	ep := t.locals[to]
-	gen := t.localsGen.Load() // re-read under the lock: stable vs writers
-	t.mu.RUnlock()
-	if gen != rs.gen {
-		rs.eps, rs.next, rs.gen = [2]epCache{}, 0, gen
-	}
-	rs.eps[rs.next] = epCache{to: to, ep: ep, ok: true}
-	rs.next = (rs.next + 1) % len(rs.eps)
-	return ep
+	defer t.mu.RUnlock()
+	return t.locals[ep.self] == ep
 }
 
-// route hands one inbound frame to the local process it addresses. A
-// frame for a process this instance does not host is dropped, not
-// misdelivered — the port-reuse hazard: after a process dies, the OS can
-// hand its ephemeral port to a new listener while senders still dial the
-// stale address. Every frame must advance its channel's mux sequence
-// within this connection — the §2.1 FIFO contract made checkable on the
-// wire for the stream's lifetime — so an unsequenced frame (Seq 0) is
-// dropped like a replay; only the mux hello, handled before route, is
-// unsequenced. Across a reconnect
-// the check starts fresh: the boundary keeps datagram semantics (a frame
-// retried on the replacement connection can duplicate or reorder against
-// the dying stream's tail), exactly as the one-socket-per-channel design
-// behaved on redial.
-func (t *TCP) route(f Frame, rs *routeState) {
-	from, err := ids.Parse(f.From)
-	if err != nil {
-		return
-	}
-	to, err := ids.Parse(f.To)
-	if err != nil {
-		return
-	}
-	ep := rs.endpoint(t, to)
-	if ep == nil {
-		return
-	}
-	p := rs.seqPtr(chanKey{from, to})
-	if f.Seq <= *p {
-		return // unsequenced, stale or replayed within the stream: never reorder
-	}
-	*p = f.Seq
-	ep.h(from, Message{MsgID: f.MsgID, Payload: f.Body})
-}
+// --- link ----------------------------------------------------------------
 
-// adopt attaches an accepted mux connection to its pair entry, resolving
-// simultaneous opens deterministically: the connection initiated by the
-// smaller pair end survives on both sides. Returns the mux to associate
-// with the reader (nil for read-only use) and whether to keep reading.
-func (t *TCP) adopt(hello Frame, c net.Conn) (*pairMux, bool) {
-	init, err := ids.Parse(hello.From)
-	if err != nil {
-		return nil, false
-	}
-	acceptor, err := ids.Parse(hello.To)
-	if err != nil || init == acceptor {
-		return nil, false
-	}
-	k := pairOf(init, acceptor)
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil, false
-	}
-	if _, local := t.locals[acceptor]; !local {
-		// A hello for a pair this instance does not host: stale-port or
-		// adversarial traffic. Reject rather than allocate mux state and
-		// a writer goroutine for an unverifiable pair.
-		t.mu.Unlock()
-		return nil, false
-	}
-	m := t.pairs[k]
-	if m == nil {
-		m = t.newPairLocked(k, init) // redials go back to the initiator
-	}
-	t.mu.Unlock()
+// link is the sending side of one directed channel: its FIFO queue, its
+// sequence counter, its dialed connection and the single writer goroutine
+// that drains the queue onto it.
+type link struct {
+	t                *TCP
+	from, to         ids.ProcID
+	fromName, toName string // rendered once for every frame's From and To
 
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.stopped {
-		return nil, false
-	}
-	switch {
-	case m.conn == nil:
-		m.conn, m.connInit = c, init
-		m.wakeLocked()
-		return m, true
-	case m.connInit == init && farEndOf(m.conn, c):
-		// The far end of our own dialed connection (both pair ends live
-		// in this instance): read from it, write on the dialed end.
-		return nil, true
-	case m.connInit == init, init.Less(m.connInit):
-		// Same initiator on a new socket (remote redialed after its old
-		// conn died), or a simultaneous open won by the smaller end:
-		// the inbound connection replaces the incumbent.
-		old := m.conn
-		m.conn, m.connInit = c, init
-		old.Close()
-		m.wakeLocked()
-		return m, true
-	default:
-		return nil, false // simultaneous open, incumbent wins: reject inbound
-	}
-}
-
-// farEndOf reports whether accepted is the other end of the socket dialed
-// here — the two legs of one connection when both pair ends share this
-// instance.
-func farEndOf(dialed, accepted net.Conn) bool {
-	return dialed.LocalAddr().String() == accepted.RemoteAddr().String()
-}
-
-// --- pairMux -----------------------------------------------------------------
-
-// pairMux is the multiplexed link for one unordered peer pair. All
-// directed channels between the two ends share one connection; a single
-// writer goroutine drains the per-channel FIFO queues round-robin so no
-// channel can starve another, and each channel's frames enter the byte
-// stream in send order.
-type pairMux struct {
-	t   *TCP
-	key pairKey
-
-	mu       sync.Mutex
-	queues   map[chanKey]*muxQueue
-	lastK    chanKey   // cache of the queue the previous enqueue used:
-	lastQ    *muxQueue // a mux serves 2 channels, so the hit rate is high
-	rr       []chanKey // round-robin scan order over queues
-	rrNext   int
-	pending  int
-	conn     net.Conn   // established link: dialed here or adopted from accept
-	connInit ids.ProcID // which pair end initiated conn (simultaneous-open tie-break)
-	dialTo   ids.ProcID // the end this instance dials to establish the link
-	dialing  bool       // ensureConn is dialing: a stream lost meanwhile is no evidence
-	stopped  bool
+	mu      sync.Mutex
+	frames  []Frame // frames[head:] are queued, not yet written
+	head    int
+	seq     uint64   // last sequence stamped on this channel
+	conn    net.Conn // established stream, dialed by the writer
+	stopped bool
 
 	wake chan struct{}
 	quit chan struct{}
 }
 
-// muxQueue is one directed channel's FIFO of queued frames.
-type muxQueue struct {
-	frames []Frame
-	head   int
-	seq    uint64 // last mux sequence stamped on this channel
-}
-
-func (m *pairMux) other(p ids.ProcID) ids.ProcID {
-	if p == m.key.a {
-		return m.key.b
-	}
-	return m.key.a
-}
-
-func (m *pairMux) wakeLocked() {
+func (l *link) wakeWriter() {
 	select {
-	case m.wake <- struct{}{}:
+	case l.wake <- struct{}{}:
 	default:
 	}
 }
 
-// enqueue appends one message to its channel's FIFO queue, stamped with
-// the channel's next mux sequence, reporting false if the mux has been
+// enqueue appends one message to the channel's FIFO queue, stamped with
+// the channel's next sequence, reporting false if the link has been
 // stopped (the caller owns that accounting).
-func (m *pairMux) enqueue(k chanKey, msg Message) bool {
-	m.mu.Lock()
-	if m.stopped {
-		m.mu.Unlock()
+func (l *link) enqueue(msg Message) bool {
+	l.mu.Lock()
+	if l.stopped {
+		l.mu.Unlock()
 		return false
 	}
-	q := m.lastQ
-	if q == nil || k != m.lastK {
-		q = m.queues[k]
-		if q == nil {
-			q = &muxQueue{}
-			m.queues[k] = q
-			m.rr = append(m.rr, k)
-		}
-		m.lastK, m.lastQ = k, q
-	}
-	if len(q.frames)-q.head >= tcpQueueDepth {
-		m.mu.Unlock()
-		m.t.stats.queueSaturated.Add(1)
+	if len(l.frames)-l.head >= tcpQueueDepth {
+		l.mu.Unlock()
+		l.t.stats.queueSaturated.Add(1)
 		return true
 	}
-	q.seq++
-	q.frames = append(q.frames, Frame{From: k.from.String(), To: k.to.String(), Seq: q.seq, MsgID: msg.MsgID, Body: msg.Payload})
-	m.pending++
-	depth := len(q.frames) - q.head
-	m.mu.Unlock()
-	m.t.stats.queueDepth(int64(depth))
-	m.wakeLocked()
+	l.seq++
+	l.frames = append(l.frames, Frame{From: l.fromName, To: l.toName, Seq: l.seq, MsgID: msg.MsgID, Body: msg.Payload})
+	depth := len(l.frames) - l.head
+	l.mu.Unlock()
+	l.t.stats.queueDepth(int64(depth))
+	l.wakeWriter()
 	return true
 }
 
-// Batch limits for the pair writer. A batch becomes one vectored write;
+// Batch limits for the link writer. A batch becomes one vectored write;
 // the byte cap chunks a burst of large frames so the encode arena stays
 // bounded no matter what rides the stream.
 const (
@@ -646,63 +449,37 @@ const (
 	batchMaxBytes  = 256 << 10
 )
 
-// popLocked pops the next frame to write, scanning channels round-robin
-// from just past the last one served; m.mu must be held.
-func (m *pairMux) popLocked() (Frame, bool) {
-	if m.pending == 0 {
-		return Frame{}, false
-	}
-	n := len(m.rr)
-	for i := 0; i < n; i++ {
-		slot := (m.rrNext + i) % n
-		q := m.queues[m.rr[slot]]
-		if q.head == len(q.frames) {
-			continue
-		}
-		f := q.frames[q.head]
-		q.frames[q.head] = Frame{}
-		q.head++
-		if q.head == len(q.frames) {
-			q.frames, q.head = q.frames[:0], 0
-		}
-		m.pending--
-		m.rrNext = (slot + 1) % n
-		return f, true
-	}
-	return Frame{}, false
-}
-
-// nextBatch drains every ready channel queue round-robin into dst under
-// ONE lock acquisition, up to the batch frame cap — under backlog the
-// per-frame synchronization cost amortizes across the whole batch.
-func (m *pairMux) nextBatch(dst []Frame) []Frame {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for len(dst) < batchMaxFrames {
-		f, ok := m.popLocked()
-		if !ok {
-			break
-		}
-		dst = append(dst, f)
+// nextBatch moves up to the batch frame cap of queued frames into dst
+// under ONE lock acquisition — under backlog the per-frame
+// synchronization cost amortizes across the whole batch.
+func (l *link) nextBatch(dst []Frame) []Frame {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	end := min(len(l.frames), l.head+batchMaxFrames)
+	dst = append(dst, l.frames[l.head:end]...)
+	clear(l.frames[l.head:end])
+	l.head = end
+	if l.head == len(l.frames) {
+		l.frames, l.head = l.frames[:0], 0
 	}
 	return dst
 }
 
-// run is the pair's writer goroutine: it pops a batch of ready frames,
+// run is the link's writer goroutine: it pops a batch of ready frames,
 // encodes them back-to-back into a reusable arena, and hands the result
 // to the kernel as one vectored write — syscalls and queue locks cost
 // per batch, not per frame.
-func (m *pairMux) run() {
-	defer m.t.wg.Done()
-	w := muxWriter{m: m}
+func (l *link) run() {
+	defer l.t.wg.Done()
+	w := linkWriter{l: l}
 	var batch []Frame
 	for {
-		batch = m.nextBatch(batch[:0])
+		batch = l.nextBatch(batch[:0])
 		if len(batch) == 0 {
 			select {
-			case <-m.quit:
+			case <-l.quit:
 				return
-			case <-m.wake:
+			case <-l.wake:
 				continue
 			}
 		}
@@ -710,10 +487,10 @@ func (m *pairMux) run() {
 	}
 }
 
-// muxWriter owns one writer goroutine's scratch state: the encode arena
+// linkWriter owns one writer goroutine's scratch state: the encode arena
 // and the vectored-write buffer list.
-type muxWriter struct {
-	m     *pairMux
+type linkWriter struct {
+	l     *link
 	arena []byte
 	bufs  net.Buffers
 	vec   net.Buffers // scratch header consumed by WriteTo
@@ -721,26 +498,25 @@ type muxWriter struct {
 
 // writeBatch encodes the batch into the arena and writes it out in
 // chunks of at most batchMaxBytes, each chunk one vectored write. A
-// failed chunk retries in full on a fresh connection — duplicating
-// across the boundary is permitted datagram semantics, and frames
-// deduplicate at the reader's mux sequence check. Once a chunk is lost
-// the rest of the batch is dropped too: the link stayed down through the
-// whole retry budget, and redialing per chunk would only stall the
-// queues further.
-func (w *muxWriter) writeBatch(batch []Frame) {
+// failed chunk retries in full on a fresh connection; frames it
+// duplicates across the boundary are the datagram semantics readConn
+// describes. Once a chunk is lost the rest of the batch is dropped too:
+// the link stayed down through the whole retry budget, and redialing per
+// chunk would only stall the queue further.
+func (w *linkWriter) writeBatch(batch []Frame) {
 	a := w.arena[:0]
 	chunk := 0 // frames encoded into a and not yet written
 	for i := range batch {
 		var err error
 		a, err = appendPrefixed(a, batch[i])
 		if err != nil {
-			w.m.t.stats.drop(dropWriteFailed) // unencodable frame: skip it, keep the batch
+			w.l.t.stats.drop(dropWriteFailed) // unencodable frame: skip it, keep the batch
 			continue
 		}
 		chunk++
 		if len(a) >= batchMaxBytes {
 			if ok, why := w.flush(a, chunk); !ok {
-				w.m.t.stats.dropN(why, int64(len(batch)-i-1))
+				w.l.t.stats.dropN(why, int64(len(batch)-i-1))
 				w.reclaim(a)
 				return
 			}
@@ -754,15 +530,15 @@ func (w *muxWriter) writeBatch(batch []Frame) {
 // flushAttempts bounds flush's redial-and-rewrite loop.
 // Protocol frames ride the stream plane on the paper's reliable-FIFO
 // contract (§2.1) and nothing above the transport retransmits, so a
-// transiently unreachable peer (a dial racing a simultaneous open, an
-// accept loop starved on a loaded host) must be retried here, with
-// backoff, rather than silently dropped. The bound keeps a writer from
-// spinning on a genuinely dead peer — only this pair's queue stalls
-// meanwhile, and a dead peer has nothing else to say on it. (A crashed
-// peer refuses instantly, so the dead-host cost is the backoff sleeps,
-// not the dial timeouts; the budget is sized for a host descheduled for
-// whole seconds, as happens with hundreds of member processes per core
-// in the E19 harness.)
+// transiently unreachable peer (an accept loop starved on a loaded host,
+// a stream reset under the writer) must be retried here, with backoff,
+// rather than silently dropped. The bound keeps a writer from spinning on
+// a genuinely dead peer — only this channel's queue stalls meanwhile, and
+// a dead peer has nothing else to say on it. (A crashed peer refuses
+// instantly, so the dead-host cost is the backoff sleeps, not the dial
+// timeouts; the budget is sized for a host descheduled for whole seconds,
+// as happens with hundreds of member processes per core in the E19
+// harness.)
 const flushAttempts = 8
 
 // flushBackoffCap caps the linear per-attempt backoff.
@@ -770,8 +546,8 @@ const flushBackoffCap = 500 * time.Millisecond
 
 // flush writes a as one vectored write, redialing with backoff on
 // failure; the chunk's frames are accounted as drops only once the link
-// stays unestablishable (or rejected) through every attempt.
-func (w *muxWriter) flush(a []byte, frames int) (bool, dropReason) {
+// stays unestablishable through every attempt.
+func (w *linkWriter) flush(a []byte, frames int) (bool, dropReason) {
 	if frames == 0 {
 		return true, dropNone
 	}
@@ -780,19 +556,19 @@ func (w *muxWriter) flush(a []byte, frames int) (bool, dropReason) {
 		if attempt > 0 {
 			backoff := min(time.Duration(attempt)*100*time.Millisecond, flushBackoffCap)
 			select {
-			case <-w.m.quit:
-				w.m.t.stats.dropN(dropClosed, int64(frames))
+			case <-w.l.quit:
+				w.l.t.stats.dropN(dropClosed, int64(frames))
 				return false, dropClosed
 			case <-time.After(backoff):
 			}
 		}
-		c, dialWhy := w.m.ensureConn()
+		c, dialWhy := w.l.ensureConn()
 		if c == nil {
 			why = dialWhy
 			if why != dropDialFailed {
-				// Stopped mux or unknown peer: no later attempt can do
+				// Stopped link or unknown peer: no later attempt can do
 				// better, so don't stall the queue behind a lost cause.
-				w.m.t.stats.dropN(why, int64(frames))
+				w.l.t.stats.dropN(why, int64(frames))
 				return false, why
 			}
 			continue
@@ -806,15 +582,15 @@ func (w *muxWriter) flush(a []byte, frames int) (bool, dropReason) {
 			return true, dropNone
 		}
 		why = dropWriteFailed
-		w.m.connLost(c)
+		w.l.connLost(c)
 	}
-	w.m.t.stats.dropN(why, int64(frames))
+	w.l.t.stats.dropN(why, int64(frames))
 	return false, why
 }
 
 // reclaim keeps the arena for the next batch unless a burst of large
 // frames ballooned it past any steady-state need.
-func (w *muxWriter) reclaim(a []byte) {
+func (w *linkWriter) reclaim(a []byte) {
 	if cap(a) > batchMaxBytes+maxFrame {
 		a = nil
 	}
@@ -836,149 +612,97 @@ func appendPrefixed(a []byte, f Frame) ([]byte, error) {
 	return b, nil
 }
 
-// ensureConn returns the pair's connection, dialing (and introducing the
-// link with a muxHello) if none is established. A connection adopted from
-// the accept side while we dialed is resolved by the same rule adopt
-// applies: the connection initiated by the smaller pair end survives.
-// Both sides must pick the same winner — if this end kept whichever
-// socket happened to establish first while the far end kept the other,
-// a simultaneous open would leave each side writing into a connection
-// its peer has already abandoned. The one adopted connection that is not
-// a rival is the far end of the socket dialed here, when both pair ends
-// share this instance.
-func (m *pairMux) ensureConn() (net.Conn, dropReason) {
-	m.mu.Lock()
-	if m.stopped {
-		m.mu.Unlock()
+// ensureConn returns the link's connection, dialing if none is
+// established. Only the writer goroutine calls it, so at most one dial is
+// ever out per link.
+func (l *link) ensureConn() (net.Conn, dropReason) {
+	l.mu.Lock()
+	c, stopped := l.conn, l.stopped
+	l.mu.Unlock()
+	switch {
+	case stopped:
 		return nil, dropClosed
-	}
-	if m.conn != nil {
-		c := m.conn
-		m.mu.Unlock()
+	case c != nil:
 		return c, dropNone
 	}
-	dialTo := m.dialTo
-	init := m.other(dialTo)
-	// While the dial is out, an adopted stream that ends may be the
-	// loser of a simultaneous open, so it is not reported (connLost);
-	// the dial's own outcome is the evidence, a refusal included.
-	m.dialing = true
-	m.mu.Unlock()
-	failed := func(why dropReason) (net.Conn, dropReason) {
-		m.mu.Lock()
-		m.dialing = false
-		m.mu.Unlock()
-		return nil, why
-	}
-
-	t := m.t
+	t := l.t
 	t.mu.RLock()
-	addr, ok := t.addrs[dialTo]
+	addr, ok := t.addrs[l.to]
 	t.mu.RUnlock()
 	if !ok {
-		return failed(dropUnknownPeer)
+		return nil, dropUnknownPeer
 	}
 	c, err := net.DialTimeout("tcp", addr, 2*time.Second)
 	if err != nil {
 		if errors.Is(err, syscall.ECONNREFUSED) {
-			t.noteClosed(dialTo, init) // nothing listens at dialTo's address
+			t.noteClosed(l.to, l.from) // nothing listens at the peer's address
 		}
-		return failed(dropDialFailed)
+		return nil, dropDialFailed
 	}
-	if err := WriteFrame(c, Frame{From: init.String(), To: dialTo.String(), Body: muxHello{}}); err != nil {
-		c.Close()
-		return failed(dropDialFailed)
-	}
-	if h := tcpPostDialHook; h != nil {
-		h(init, dialTo)
-	}
-	m.mu.Lock()
-	m.dialing = false
-	if m.stopped {
-		m.mu.Unlock()
+	l.mu.Lock()
+	if l.stopped {
+		l.mu.Unlock()
 		c.Close()
 		return nil, dropClosed
 	}
-	var old net.Conn
-	if adopted := m.conn; adopted != nil { // adopted from the accept side while we dialed
-		switch {
-		case m.connInit == init && farEndOf(c, adopted):
-			// Both pair ends live in this instance, and the accept side
-			// installed the far end of the socket we just dialed before we
-			// got back here: our own loopback leg (the case adopt sees
-			// from the other side), not a rival. Closing the dialed socket
-			// would kill the one kept; it stays open to be read from, and
-			// writes go on the dialed end as if we had got here first.
-		case init.Less(m.connInit):
-			// This end is the smaller initiator: the far end's adopt keeps
-			// the connection *we* dialed, so the adopted one here is already
-			// abandoned over there. Our dial wins on both sides.
-			old = adopted
-		default:
-			// The adopted connection's initiator wins the simultaneous
-			// open: keep it.
-			m.mu.Unlock()
-			c.Close()
-			return adopted, dropNone
-		}
-	}
-	m.conn, m.connInit = c, init
-	m.mu.Unlock()
-	if old != nil {
-		old.Close()
-	}
+	l.conn = c
+	l.mu.Unlock()
 	t.wg.Add(1)
-	go t.readConn(c, nil, m) // the reverse direction rides the same socket
+	go l.watch(c)
 	return c, dropNone
 }
 
-// dropConn clears c from the mux if it is the established connection and
-// closes it; the writer redials (or picks up an adopted replacement) on
-// the next frame. It reports whether losing c is evidence about the far
-// end: c was the established connection of a running mux and no dial of
-// this end's was out. A rival replaced in a simultaneous open, or a
-// socket that stop already detached, was never established.
-func (m *pairMux) dropConn(c net.Conn) bool {
-	m.mu.Lock()
-	established := m.conn == c
+// watch blocks in Read on a dialed stream. The far end never writes on
+// it, so the read returns only when the stream ends — the moment a peer's
+// kernel closes a dead process's sockets, long before the next write
+// would fail.
+func (l *link) watch(c net.Conn) {
+	defer l.t.wg.Done()
+	var buf [64]byte
+	for {
+		if _, err := c.Read(buf[:]); err != nil {
+			break
+		}
+	}
+	l.connLost(c)
+}
+
+// connLost closes c, a stream that ended without this side closing it —
+// EOF or a failed write. If c was still the link's established stream,
+// the writer redials on the next frame and the sender, if registered
+// here, gets closed-stream evidence about the receiver. A stream stop
+// already detached, or one the writer and watch both saw end, is
+// reported at most once.
+func (l *link) connLost(c net.Conn) {
+	l.mu.Lock()
+	established := l.conn == c
 	if established {
-		m.conn, m.connInit = nil, ids.Nil
+		l.conn = nil
 	}
-	evidence := established && !m.dialing
-	m.mu.Unlock()
+	l.mu.Unlock()
 	c.Close()
-	return evidence
-}
-
-// connLost is dropConn for a stream that ended without this side closing
-// it — EOF or a failed write. If c was the pair's established stream,
-// each end registered here gets closed-stream evidence about the other.
-func (m *pairMux) connLost(c net.Conn) {
-	if m.dropConn(c) {
-		m.t.noteClosed(m.key.a, m.key.b)
-		m.t.noteClosed(m.key.b, m.key.a)
+	if established {
+		l.t.noteClosed(l.to, l.from)
 	}
 }
 
-// stop tears the mux down: queued frames are discarded and the writer
-// exits.
-func (m *pairMux) stop() {
-	m.mu.Lock()
-	if m.stopped {
-		m.mu.Unlock()
+// stop tears the link down: queued frames are discarded, the stream
+// closes without a report, and the writer exits.
+func (l *link) stop() {
+	l.mu.Lock()
+	if l.stopped {
+		l.mu.Unlock()
 		return
 	}
-	m.stopped = true
-	c := m.conn
-	m.conn = nil
-	m.queues = make(map[chanKey]*muxQueue)
-	m.lastQ = nil
-	m.rr, m.pending = nil, 0
-	m.mu.Unlock()
+	l.stopped = true
+	c := l.conn
+	l.conn = nil
+	l.frames, l.head = nil, 0
+	l.mu.Unlock()
 	if c != nil {
 		c.Close()
 	}
-	close(m.quit)
+	close(l.quit)
 }
 
 // --- tcpEndpoint -------------------------------------------------------------

@@ -16,14 +16,15 @@ type Message struct {
 
 // PeerClosed is closed-stream evidence, delivered to a registered
 // process q as a message from peer p. The TCP stream plane sends it when
-// q's established pair stream with p ends without q's side closing it
-// (EOF or a failed write), when a dial from q to p's address is refused,
-// and when Unregister(p) stops a pair whose other end q is registered on
-// the same instance — the same-host model of the kernel closing a dead
-// process's sockets. It never fires for a rival socket closed during a
-// simultaneous open, for q's own Unregister or Close, or on Inmem or
-// UDP. It is synthesized at the receiver and never encoded, so TwoPlane
-// and Chaos pass it through unchanged.
+// a channel stream between q and p ends without q's side closing it — on
+// q's link to p, a failed write or EOF; on p's link to q, EOF once the
+// stream's first frame has named p — when a dial from q to p's address
+// is refused, and when Unregister(p) stops q's link to p on the same
+// instance — the same-host model of the kernel closing a dead process's
+// sockets. A peer with links in both directions can be reported once
+// per stream. It never fires for q's own Unregister or Close, or on
+// Inmem or UDP. It is synthesized at the receiver and never encoded, so
+// TwoPlane and Chaos pass it through unchanged.
 type PeerClosed struct{}
 
 // Handler consumes messages delivered to a registered process. Transports
@@ -108,11 +109,12 @@ type Stats struct {
 	// inferred from beacon counts.
 	SuspicionFrames int64
 	// ConnsOpen is a gauge, not a counter: the number of connections
-	// currently established (TCP: one per peer pair with an active
-	// multiplexed link; always 0 on connectionless transports). Because
-	// the TCP transport dials lazily — a link exists only once some
-	// frame actually needed it — this measures the monitoring topology's
-	// real footprint: a full mesh settles at n(n−1)/2, ring-k at ~n·k.
+	// currently established (TCP: one per directed channel this instance
+	// has dialed, so each connection is counted once, by its sender's
+	// side; always 0 on connectionless transports). Because the TCP
+	// transport dials lazily — a link exists only once some frame
+	// actually needed it — this measures the monitoring topology's real
+	// footprint: a full mesh settles at n(n−1), ring-k at O(n·k).
 	ConnsOpen int64
 	// SendQueueNow is a gauge: frames currently sitting in stream-plane
 	// send queues across every channel. Zero on datagram transports,

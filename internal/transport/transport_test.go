@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -112,7 +113,7 @@ func TestInmemFIFO(t *testing.T) {
 // TestTCPFIFO re-proves §2.1 on the stream plane's reader, which decodes
 // every frame inline on its connection goroutine: for the test payload,
 // and for core.OK frames — the internal/core wire vocabulary carrying
-// mux sequences end to end.
+// channel sequences end to end.
 func TestTCPFIFO(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -254,10 +255,13 @@ func TestCloseIsIdempotent(t *testing.T) {
 	}
 }
 
-// TestTCPMisaddressedFrameDropped: an endpoint must drop frames whose To
-// is a different process — the port-reuse hazard: after a process dies,
-// the OS can hand its ephemeral port to a newly registered one while
-// senders still dial the stale address.
+// TestTCPMisaddressedFrameDropped: an accepted stream carries one
+// channel into its listener's process, so an endpoint must drop frames
+// whose To is a different process — the port-reuse hazard: after a
+// process dies, the OS can hand its ephemeral port to a newly registered
+// one while senders still dial the stale address — and, once the
+// stream's first delivered frame has fixed its sender, frames from any
+// other sender.
 func TestTCPMisaddressedFrameDropped(t *testing.T) {
 	tr := NewTCP()
 	defer tr.Close()
@@ -272,23 +276,35 @@ func TestTCPMisaddressedFrameDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	// A frame addressed to a dead process whose port b inherited.
-	if err := WriteFrame(conn, Frame{From: "a", To: "dead", MsgID: 1, Body: fifoPayload{N: 1}}); err != nil {
-		t.Fatal(err)
+	for _, f := range []Frame{
+		// Addressed to a dead process whose port b inherited.
+		{From: "a", To: "dead", Seq: 1, MsgID: 1, Body: fifoPayload{N: 1}},
+		// Correctly addressed: fixes the stream's sender as a.
+		{From: "a", To: "b", Seq: 1, MsgID: 2, Body: fifoPayload{N: 2}},
+		// A second sender on a's stream.
+		{From: "c", To: "b", Seq: 2, MsgID: 3, Body: fifoPayload{N: 3}},
+		{From: "a", To: "b", Seq: 3, MsgID: 4, Body: fifoPayload{N: 4}},
+	} {
+		if err := WriteFrame(conn, f); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// A correctly addressed frame on the same stream; every stream frame
-	// is sequenced.
-	if err := WriteFrame(conn, Frame{From: "a", To: "b", Seq: 1, MsgID: 2, Body: fifoPayload{N: 2}}); err != nil {
-		t.Fatal(err)
+	// One reader handles the stream in order, so once MsgID 4 is in,
+	// every frame ahead of it has been judged.
+	waitFor(t, 5*time.Second, func() bool { return s.len() >= 1 && s.msg(s.len()-1).MsgID == 4 }, "the last frame")
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var got []int64
+	for _, m := range s.got {
+		got = append(got, m.MsgID)
 	}
-	waitFor(t, 5*time.Second, func() bool { return s.len() >= 1 }, "the addressed frame")
-	if s.len() != 1 || s.msg(0).MsgID != 2 {
-		t.Fatalf("got %d deliveries, first MsgID %d; want only the frame addressed to b", s.len(), s.msg(0).MsgID)
+	if len(got) != 2 || got[0] != 2 || got[1] != 4 {
+		t.Fatalf("delivered MsgIDs %v, want [2 4]: only a's frames addressed to b", got)
 	}
 }
 
 // TestTCPReplayedSequencedFrameDropped: frames on one stream must
-// advance their channel's mux sequence. An unsequenced frame (Seq 0) and
+// advance their channel's sequence. An unsequenced frame (Seq 0) and
 // a frame replayed within the stream (Seq 2 again, then Seq 1) are
 // dropped, so the handler sees each of 1, 2, 3 exactly once and in order
 // — the §2.1 FIFO channel, checked on the wire.
@@ -335,11 +351,12 @@ func TestTCPReplayedSequencedFrameDropped(t *testing.T) {
 	}
 }
 
-// TestTCPOneConnectionPerPair is the mux acceptance test: a fully
-// connected group of n processes exchanging traffic on every directed
-// channel must open exactly n(n−1)/2 connections — one per unordered peer
-// pair — not one per directed channel.
-func TestTCPOneConnectionPerPair(t *testing.T) {
+// TestTCPOneConnectionPerChannel is the §2.1 channel acceptance test: a
+// fully connected group of n processes exchanging traffic on every
+// directed channel opens exactly n(n−1) connections — one per directed
+// channel, dialed by its sender and accepted by its receiver — and
+// ConnsOpen counts each once.
+func TestTCPOneConnectionPerChannel(t *testing.T) {
 	tr := NewTCP()
 	defer tr.Close()
 	const n = 4
@@ -369,16 +386,16 @@ func TestTCPOneConnectionPerPair(t *testing.T) {
 		return got >= want
 	}, "all-to-all traffic")
 
-	pairs := n * (n - 1) / 2
+	channels := n * (n - 1)
 	tr.mu.RLock()
-	muxes := len(tr.pairs)
-	conns := 0
-	for _, m := range tr.pairs {
-		m.mu.Lock()
-		if m.conn != nil {
-			conns++
+	links := len(tr.links)
+	dialed := 0
+	for _, l := range tr.links {
+		l.mu.Lock()
+		if l.conn != nil {
+			dialed++
 		}
-		m.mu.Unlock()
+		l.mu.Unlock()
 	}
 	accepted := 0
 	for _, ep := range tr.locals {
@@ -387,21 +404,94 @@ func TestTCPOneConnectionPerPair(t *testing.T) {
 		ep.mu.Unlock()
 	}
 	tr.mu.RUnlock()
-	if muxes != pairs {
-		t.Errorf("%d pair muxes for %d procs, want %d", muxes, n, pairs)
+	if links != channels {
+		t.Errorf("%d links for %d procs, want %d", links, n, channels)
 	}
-	if conns != pairs {
-		t.Errorf("%d established connections, want exactly %d (one per unordered pair)", conns, pairs)
+	if dialed != channels {
+		t.Errorf("%d dialed connections, want exactly %d (one per directed channel)", dialed, channels)
 	}
-	// Every pair connection terminates in exactly one accepted socket, so
-	// a per-directed-channel design (2 per pair) would double this.
-	if accepted != pairs {
-		t.Errorf("%d accepted sockets, want %d", accepted, pairs)
+	if accepted != channels {
+		t.Errorf("%d accepted sockets, want %d", accepted, channels)
+	}
+	if got := tr.Stats().ConnsOpen; got != int64(channels) {
+		t.Errorf("ConnsOpen = %d, want %d", got, channels)
 	}
 }
 
-// TestTCPStatsCountDropReasons: frames lost to unknown peers, saturated
-// queues, and post-close sends must land in distinct counters.
+// TestTCPConcurrentFirstSendsBothDirections: two processes that have
+// never talked send to each other at the same instant, so both open
+// their channel at once. Over 200 fresh pairs, in one instance and
+// across two, every frame must arrive exactly once and in order in both
+// directions.
+func TestTCPConcurrentFirstSendsBothDirections(t *testing.T) {
+	const pairs, frames = 200, 5
+	for _, shared := range []bool{true, false} {
+		name := "two-instances"
+		if shared {
+			name = "one-instance"
+		}
+		t.Run(name, func(t *testing.T) {
+			trA, trB := NewTCP(), NewTCP()
+			if shared {
+				trB = trA
+			}
+			defer trA.Close()
+			defer trB.Close()
+			for i := 0; i < pairs; i++ {
+				p, q := ids.Named(fmt.Sprintf("p%d", i)), ids.Named(fmt.Sprintf("q%d", i))
+				var sp, sq sink
+				if err := trA.Register(p, sp.handler); err != nil {
+					t.Fatal(err)
+				}
+				if err := trB.Register(q, sq.handler); err != nil {
+					t.Fatal(err)
+				}
+				if !shared {
+					addrP, _ := trA.Addr(p)
+					addrQ, _ := trB.Addr(q)
+					trA.AddPeer(q, addrQ)
+					trB.AddPeer(p, addrP)
+				}
+				start := make(chan struct{})
+				var wg sync.WaitGroup
+				for _, dir := range []struct {
+					tr       *TCP
+					from, to ids.ProcID
+				}{{trA, p, q}, {trB, q, p}} {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						<-start
+						for k := 1; k <= frames; k++ {
+							dir.tr.Send(dir.from, dir.to, Message{MsgID: int64(k), Payload: fifoPayload{N: k}})
+						}
+					}()
+				}
+				close(start)
+				wg.Wait()
+				for _, s := range []*sink{&sp, &sq} {
+					waitFor(t, 5*time.Second, func() bool { return s.len() >= frames }, "both directions")
+				}
+				time.Sleep(time.Millisecond) // a duplicate would land right behind
+				for _, s := range []*sink{&sp, &sq} {
+					if s.len() != frames {
+						t.Fatalf("pair %d: delivered %d frames, want exactly %d", i, s.len(), frames)
+					}
+					for k := 0; k < frames; k++ {
+						if got := s.msg(k).MsgID; got != int64(k+1) {
+							t.Fatalf("pair %d: position %d holds MsgID %d — FIFO violated", i, k, got)
+						}
+					}
+				}
+				trA.Unregister(p)
+				trB.Unregister(q)
+			}
+		})
+	}
+}
+
+// TestTCPConnsOpenGauge: ConnsOpen counts the links this instance has
+// dialed and holds established, one per directed channel.
 func TestTCPConnsOpenGauge(t *testing.T) {
 	tr := NewTCP()
 	defer tr.Close()
@@ -418,26 +508,26 @@ func TestTCPConnsOpenGauge(t *testing.T) {
 	if got := tr.Stats().ConnsOpen; got != 0 {
 		t.Fatalf("ConnsOpen before any traffic = %d, want 0 (dialing is lazy)", got)
 	}
-	// First frame on a pair establishes exactly one link.
+	// The first frame on a channel establishes exactly one link.
 	tr.Send(a, b, Message{MsgID: 1, Payload: fifoPayload{N: 1}})
 	waitFor(t, 5*time.Second, func() bool { return sb.len() == 1 }, "a→b delivery")
 	if got := tr.Stats().ConnsOpen; got != 1 {
 		t.Errorf("ConnsOpen after a→b = %d, want 1", got)
 	}
-	// The reverse direction rides the same socket: still one link.
+	// The reverse direction is a channel of its own: a second link.
 	tr.Send(b, a, Message{MsgID: 2, Payload: fifoPayload{N: 2}})
 	waitFor(t, 5*time.Second, func() bool { return sa.len() == 1 }, "b→a delivery")
-	if got := tr.Stats().ConnsOpen; got != 1 {
-		t.Errorf("ConnsOpen after b→a on the same pair = %d, want 1", got)
+	if got := tr.Stats().ConnsOpen; got != 2 {
+		t.Errorf("ConnsOpen after b→a = %d, want 2", got)
 	}
 	tr.Send(a, c, Message{MsgID: 3, Payload: fifoPayload{N: 3}})
 	waitFor(t, 5*time.Second, func() bool { return sc.len() == 1 }, "a→c delivery")
-	if got := tr.Stats().ConnsOpen; got != 2 {
-		t.Errorf("ConnsOpen with two active pairs = %d, want 2", got)
+	if got := tr.Stats().ConnsOpen; got != 3 {
+		t.Errorf("ConnsOpen with three active channels = %d, want 3", got)
 	}
-	// Unregistering tears down every pair touching the process.
+	// Unregistering tears down every link from or to the process.
 	tr.Unregister(c)
-	waitFor(t, 5*time.Second, func() bool { return tr.Stats().ConnsOpen == 1 },
+	waitFor(t, 5*time.Second, func() bool { return tr.Stats().ConnsOpen == 2 },
 		"gauge to drop after Unregister")
 }
 
@@ -457,6 +547,8 @@ func TestInmemConnsOpenAlwaysZero(t *testing.T) {
 	}
 }
 
+// TestTCPStatsCountDropReasons: frames lost to unknown peers, saturated
+// queues, and post-close sends must land in distinct counters.
 func TestTCPStatsCountDropReasons(t *testing.T) {
 	oldDepth := tcpQueueDepth
 	tcpQueueDepth = 1

@@ -22,7 +22,7 @@ import (
 // it to that: a datagram carrying anything but a beacon is dropped.
 //
 // Frames travel as bare codec bodies (no length prefix — the datagram
-// boundary frames them) with Seq always 0: there is no mux and no
+// boundary frames them) with Seq always 0: there is no sequence and no
 // ordering check. Per-channel FIFO is therefore only as good as the
 // network's reordering behavior; on loopback and within one L2 segment
 // that is in-order in practice, and beacons are order-free anyway.
@@ -271,7 +271,7 @@ func (t *UDP) readLoop(ep *udpEndpoint) {
 	var d Decoder
 	d.intern = make(map[string]string)
 	for {
-		n, _, err := ep.conn.ReadFromUDP(buf)
+		n, err := ep.conn.Read(buf)
 		if err != nil {
 			return // socket closed by Unregister/Close
 		}
@@ -291,7 +291,7 @@ func (t *UDP) readLoop(ep *udpEndpoint) {
 
 // deliver routes one decoded datagram to the endpoint that received it.
 // Only beacon-class frames are delivered: any other kind belongs on the
-// stream plane, whose per-channel mux sequence check is what §2.1's FIFO
+// stream plane, whose per-channel sequence check is what §2.1's FIFO
 // rests on, so a protocol frame arriving as a datagram is counted as
 // DecodeFailed and dropped. A frame addressed to some other process is
 // dropped, not misdelivered — the port-reuse hazard: after a process

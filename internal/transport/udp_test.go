@@ -47,7 +47,7 @@ func TestUDPDelivery(t *testing.T) {
 
 // TestUDPNonBeaconDatagramCountsDecodeFailed: a decodable protocol frame
 // arriving on the datagram plane bypasses the stream plane's per-channel
-// mux sequence check, so the receiver counts it as DecodeFailed and
+// sequence check, so the receiver counts it as DecodeFailed and
 // drops it; a beacon on the same socket still arrives.
 func TestUDPNonBeaconDatagramCountsDecodeFailed(t *testing.T) {
 	tr := NewUDP()

@@ -141,7 +141,7 @@ func NewFullTopology() Topology { return topology.Full{} }
 // is closed into a ring and each member watches its k rank-successors
 // (and beacons to its k rank-predecessors), recomputed at every view
 // installation so churn re-closes the ring. Beacon traffic is O(n·k) and
-// a TCP group settles at ~n·k connections instead of n(n−1)/2; a
+// a TCP group settles at ~n·k connections instead of n(n−1); a
 // monitor's suspicion reaches the coordinator directly and spreads to
 // everyone else in suspicion digests riding the beacons, preserving F1's
 // eventual-suspicion contract (see DESIGN.md §8 and experiment E17). k ≤ 0 selects the default (3);
